@@ -288,6 +288,7 @@ class StoreServer:
         # journaled store: pacing is an ephemeral wall-clock contract, and
         # replaying grants after a restart would double-charge the window.
         self._limiters: dict[str, TokenBucket] = {}
+        self._claimants: set[str] = set()
         self._listener = socket.create_server((host, port))
         self.host, self.port = self._listener.getsockname()[:2]
         self._closing = threading.Event()
@@ -298,6 +299,17 @@ class StoreServer:
     @property
     def address(self) -> tuple[str, int]:
         return (self.host, self.port)
+
+    @property
+    def claimants(self) -> frozenset[str]:
+        """Ids of the workers that have asked this server for a job.
+
+        A worker asks only once it is warm and in its claim loop, so a
+        caller can hold work back until every worker it spawned is ready.
+        """
+
+        with self._lock:
+            return frozenset(self._claimants)
 
     def start(self) -> "StoreServer":
         """Begin accepting connections on a background thread."""
@@ -402,6 +414,7 @@ class StoreServer:
 
         deadline = time.monotonic() + timeout
         with self._pushed:
+            self._claimants.add(worker_id)
             while True:
                 job_id = self.store.lpop(queue_key)
                 if job_id is not None:
@@ -431,6 +444,7 @@ class StoreServer:
         limit = max(1, int(limit))
         deadline = time.monotonic() + timeout
         with self._pushed:
+            self._claimants.add(worker_id)
             while True:
                 job_ids: list[str] = []
                 while len(job_ids) < limit:

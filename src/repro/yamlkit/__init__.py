@@ -10,8 +10,9 @@ of match labels expressed as trailing comments:
 
 :mod:`repro.yamlkit.labels` parses those annotations into a
 :class:`~repro.yamlkit.labels.LabeledNode` tree that the YAML-aware scorer
-consumes.  :mod:`repro.yamlkit.parsing` wraps ``yaml.safe_load`` with
-multi-document support and helpful errors, and :mod:`repro.yamlkit.diffing`
+consumes.  :mod:`repro.yamlkit.parsing` is the one place YAML is parsed: a safe
+multi-document loader that uses libyaml when PyYAML has it and words every
+error as the pure-Python parser does.  :mod:`repro.yamlkit.diffing`
 implements the line-level edit-distance used by the text-level scorer.
 """
 

@@ -25,7 +25,7 @@ from typing import Any
 
 import yaml
 
-from repro.yamlkit.parsing import YamlParseError
+from repro.yamlkit.parsing import YamlParseError, parse_yaml
 
 __all__ = ["MatchKind", "LabeledNode", "parse_labeled_yaml", "strip_labels"]
 
@@ -120,9 +120,9 @@ def _extract_line_labels(text: str) -> dict[int, tuple[MatchKind, tuple[Any, ...
 class _NodeConstructor(yaml.constructor.SafeConstructor):
     """Constructs Python values directly from composed nodes.
 
-    Equivalent to ``yaml.safe_load(yaml.serialize(node))`` — the composer
-    has already resolved implicit tags — but without the serialize/re-scan
-    round trip, which dominates reference-compilation time.
+    The composer has already resolved implicit tags, so constructing a
+    node gives the value ``load_all_documents`` would give for it, without
+    serialising the node and parsing it again.
     """
 
 
@@ -156,20 +156,23 @@ def parse_labeled_yaml(text: str) -> LabeledNode:
     """
 
     labels = _extract_line_labels(text)
+
+    def build(loader: type) -> list[LabeledNode]:
+        # Compose every document before building any, so a composer error
+        # anywhere wins over a constructor error in an earlier document.
+        nodes = [n for n in yaml.compose_all(text, Loader=loader) if n is not None]
+        constructor = _NodeConstructor()
+        return [_build_node(n, labels, constructor) for n in nodes]
+
     try:
-        nodes = list(yaml.compose_all(text))
+        trees = parse_yaml(text, build)
     except yaml.YAMLError as exc:
         raise YamlParseError(f"invalid labeled reference YAML: {exc}") from exc
-    nodes = [n for n in nodes if n is not None]
-    if not nodes:
+    if not trees:
         raise YamlParseError("labeled reference YAML contains no documents")
-    constructor = _NodeConstructor()
-    try:
-        if len(nodes) == 1:
-            return _build_node(nodes[0], labels, constructor)
-        return LabeledNode(node_type="sequence", items=[_build_node(n, labels, constructor) for n in nodes])
-    except yaml.YAMLError as exc:
-        raise YamlParseError(f"invalid labeled reference YAML: {exc}") from exc
+    if len(trees) == 1:
+        return trees[0]
+    return LabeledNode(node_type="sequence", items=trees)
 
 
 def strip_labels(text: str) -> str:

@@ -51,16 +51,20 @@ def documents_equal(a: Any, b: Any) -> bool:
     ``kubectl apply`` treats the manifests.
     """
 
-    a = normalize_document(a)
-    b = normalize_document(b)
+    return _normalized_equal(normalize_document(a), normalize_document(b))
+
+
+def _normalized_equal(a: Any, b: Any) -> bool:
+    """:func:`documents_equal` on documents already passed through :func:`normalize_document`."""
+
     if isinstance(a, dict) and isinstance(b, dict):
         if set(a) != set(b):
             return False
-        return all(documents_equal(a[k], b[k]) for k in a)
+        return all(_normalized_equal(a[k], b[k]) for k in a)
     if isinstance(a, list) and isinstance(b, list):
         if len(a) != len(b):
             return False
-        return all(documents_equal(x, y) for x, y in zip(a, b))
+        return all(_normalized_equal(x, y) for x, y in zip(a, b))
     if isinstance(a, (dict, list)) or isinstance(b, (dict, list)):
         return False
     return _scalar_equal(a, b)

@@ -23,6 +23,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 from repro.core import BenchmarkConfig, CloudEvalBenchmark
@@ -57,6 +58,20 @@ def _spawn_worker(address, *, worker_id, plan=None, heartbeat="0.25"):
     if plan is not None:
         command += ["--fault-plan", plan.to_json()]
     return subprocess.Popen(command, env={"PYTHONPATH": SRC_ROOT, "PATH": "/usr/bin:/bin"})
+
+
+def _await_claimants(server, worker_ids, timeout=60.0):
+    """Block until every named worker is warm and asking ``server`` for jobs.
+
+    Jobs submitted before that can all be drained by the worker that came
+    up first, and the fault under test then never fires.
+    """
+
+    deadline = time.monotonic() + timeout
+    while not set(worker_ids) <= server.claimants:
+        missing = set(worker_ids) - server.claimants
+        assert time.monotonic() < deadline, f"workers never asked for a job: {sorted(missing)}"
+        time.sleep(0.02)
 
 
 def _events(path: Path) -> list[dict]:
@@ -126,6 +141,7 @@ class TestFrozenHeartbeat:
                 _spawn_worker(server.address, worker_id="frozen", plan=plan),
             ]
             try:
+                _await_claimants(server, ["healthy", "frozen"])
                 with FleetExecutor(
                     address=server.address, lease_seconds=1.2, poll_seconds=0.05, chunk_size=1
                 ) as executor:

@@ -399,6 +399,20 @@ def _spawn_worker(address, *, worker_id, die_after_claims=None, heartbeat="0.25"
     return subprocess.Popen(command, env={"PYTHONPATH": SRC_ROOT, "PATH": "/usr/bin:/bin"})
 
 
+def _await_claimants(server, worker_ids, timeout=60.0):
+    """Block until every named worker is warm and asking ``server`` for jobs.
+
+    Jobs submitted before that can all be drained by the worker that came
+    up first, and the fault under test then never fires.
+    """
+
+    deadline = time.monotonic() + timeout
+    while not set(worker_ids) <= server.claimants:
+        missing = set(worker_ids) - server.claimants
+        assert time.monotonic() < deadline, f"workers never asked for a job: {sorted(missing)}"
+        time.sleep(0.02)
+
+
 class TestWorkerDeath:
     def test_sigkilled_worker_batch_requeued_without_burning_second_chances(self, server):
         """One worker SIGKILLs itself right after a claim — the window
@@ -413,6 +427,7 @@ class TestWorkerDeath:
             _spawn_worker(server.address, worker_id="doomed", die_after_claims=2),
         ]
         try:
+            _await_claimants(server, ["healthy", "doomed"])
             # chunk_size=1 pins one task per job so die_after_claims and the
             # completed-job count below stay exact.
             with FleetExecutor(
@@ -449,6 +464,7 @@ class TestWorkerDeath:
         ]
         executor = FleetExecutor(address=server.address, lease_seconds=1.2, poll_seconds=0.05)
         try:
+            _await_claimants(server, ["survivor", "casualty"])
             from repro.pipeline import EvaluationPipeline
             from repro.llm.registry import calibrate_models, get_model
             from repro.llm.interface import GenerationRequest

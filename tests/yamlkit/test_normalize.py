@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from repro.yamlkit import normalize
 from repro.yamlkit.normalize import canonical_dump, documents_equal, normalize_document
 
 
@@ -35,3 +36,25 @@ def test_canonical_dump_is_stable_under_key_order():
     a = {"b": 1, "a": {"y": 2, "x": 3}}
     b = {"a": {"x": 3, "y": 2}, "b": 1}
     assert canonical_dump(a) == canonical_dump(b)
+
+
+def test_documents_equal_normalizes_a_deep_document_once(monkeypatch):
+    def nested(depth, leaf):
+        doc = {"leaf": leaf}
+        for level in range(depth):
+            doc = {level: [doc]}
+        return doc
+
+    calls = []
+    original = normalize.normalize_document
+
+    def counting(doc):
+        calls.append(1)
+        return original(doc)
+
+    monkeypatch.setattr(normalize, "normalize_document", counting)
+    depth = 100
+    assert documents_equal(nested(depth, 80), nested(depth, "80"))
+    assert not documents_equal(nested(depth, 80), nested(depth, 81))
+    # One pass over each document: 2 * depth + 2 nodes each, two documents, two comparisons.
+    assert len(calls) == 2 * 2 * (2 * depth + 2)
