@@ -24,8 +24,12 @@ Two guards:
    one-second window may exceed ``rate + burst`` grants.
 
 Both are same-machine ratio/derivation guards, so a slow CI runner
-cannot flake them.  The fleet event log lands where
-``REPRO_FLEET_GEN_EVENTS`` points and is uploaded as a CI artifact.
+cannot flake them.  The throughput guard keeps both fleets up and
+alternates the two paths over :data:`ROUNDS` rounds, comparing the
+fastest round of each, so a burst of load from elsewhere on a shared
+machine slows one round rather than one side.  The offloaded fleet's
+event log lands where ``REPRO_FLEET_GEN_EVENTS`` points and is uploaded
+as a CI artifact.
 """
 
 from __future__ import annotations
@@ -57,6 +61,10 @@ LATENCY_SECONDS = 0.02 if FAST_MODE else 0.012
 
 FLEET_WORKERS = 4
 
+#: Alternating parent/offloaded rounds; the ratio is taken between the
+#: fastest of each.
+ROUNDS = 3
+
 #: A deliberately generous global rate: the offloaded workers *do* debit
 #: the distributed bucket on every request (the wiring is exercised), but
 #: pacing never becomes the bottleneck the throughput ratio measures.
@@ -87,12 +95,12 @@ def _replay_spec(dataset, requests) -> ModelSpec:
     )
 
 
-def _fleet_executor(dataset) -> FleetExecutor:
+def _fleet_executor(dataset, event_log=None) -> FleetExecutor:
     executor = FleetExecutor(
         num_workers=FLEET_WORKERS,
         lease_seconds=60.0,
         heartbeat_seconds=0.25,
-        event_log=FLEET_GEN_EVENTS_PATH,
+        event_log=event_log,
     )
     executor.warm(list(dataset))
     # Boot the store and the worker processes outside the timed region:
@@ -107,44 +115,58 @@ def test_fleet_generation_offload_throughput(benchmark):
     _, requests = driver.requests(MODEL_NAME)
     spec = _replay_spec(dataset, requests)
 
-    # --- parent-generation fleet baseline: the coordinator pays every ----
-    # --- endpoint round-trip serially, the fleet only scores ------------
+    # Both fleets stay up for every round; an idle worker parks on the
+    # store until work arrives, so the fleet not being timed costs nothing.
     parent_executor = _fleet_executor(dataset)
+    executor = None
     try:
-        start = time.perf_counter()
-        parent_eval = EvaluationPipeline(
-            spec.build(), executor=parent_executor, store=ReferenceStore()
-        ).run(requests)
-        parent_seconds = time.perf_counter() - start
-    finally:
-        parent_executor.close()
+        executor = _fleet_executor(dataset, event_log=FLEET_GEN_EVENTS_PATH)
 
-    # --- fleet-offloaded path: generate AND score on the workers ---------
-    executor = _fleet_executor(dataset)
+        # --- parent-generation fleet baseline: the coordinator pays every --
+        # --- endpoint round-trip serially, the fleet only scores ----------
+        # pedantic calls this before every timed offloaded round, so the
+        # two paths take turns.
+        parent_rounds = []
+        parent_evals = []
 
-    def run_offloaded():
-        pipeline = EvaluationPipeline(
-            spec.build(),
-            model_spec=spec,
-            executor=executor,
-            store=ReferenceStore(),
+        def run_parent():
+            start = time.perf_counter()
+            parent_evals.append(
+                EvaluationPipeline(
+                    spec.build(), executor=parent_executor, store=ReferenceStore()
+                ).run(requests)
+            )
+            parent_rounds.append(time.perf_counter() - start)
+
+        # --- fleet-offloaded path: generate AND score on the workers -------
+        def run_offloaded():
+            pipeline = EvaluationPipeline(
+                spec.build(),
+                model_spec=spec,
+                executor=executor,
+                store=ReferenceStore(),
+            )
+            try:
+                return pipeline.run(requests)
+            finally:
+                pipeline.close()
+
+        offloaded_eval = benchmark.pedantic(
+            run_offloaded, setup=run_parent, rounds=ROUNDS, iterations=1
         )
-        try:
-            return pipeline.run(requests)
-        finally:
-            pipeline.close()
-
-    try:
-        offloaded_eval = benchmark.pedantic(run_offloaded, rounds=1, iterations=1)
-        offloaded_seconds = benchmark.stats.stats.mean
         stats = executor.stats()
     finally:
-        executor.close()
+        parent_executor.close()
+        if executor is not None:
+            executor.close()
+    parent_seconds = min(parent_rounds)
+    offloaded_seconds = benchmark.stats.stats.min
     speedup = parent_seconds / offloaded_seconds
 
     benchmark.extra_info["requests"] = len(requests)
     benchmark.extra_info["latency_ms"] = LATENCY_SECONDS * 1000
     benchmark.extra_info["parent_seconds"] = round(parent_seconds, 4)
+    benchmark.extra_info["parent_rounds"] = [round(seconds, 4) for seconds in parent_rounds]
     benchmark.extra_info["offloaded_seconds"] = round(offloaded_seconds, 4)
     benchmark.extra_info["speedup"] = round(speedup, 2)
     benchmark.extra_info["fleet_stats"] = stats.describe()
@@ -160,7 +182,8 @@ def test_fleet_generation_offload_throughput(benchmark):
     )
 
     # Offload must not move a single score...
-    assert offloaded_eval.records == parent_eval.records
+    for parent_eval in parent_evals:
+        assert offloaded_eval.records == parent_eval.records
 
     # ...no job may be lost to the lease machinery on a healthy run...
     assert stats.pending == 0 and stats.claimed == 0 and stats.abandoned == 0

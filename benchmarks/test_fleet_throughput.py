@@ -37,7 +37,8 @@ from repro.llm.remote import RemoteEndpointModel
 from repro.pipeline import (
     AsyncExecutor,
     EvaluationPipeline,
-    ShardedEvaluationPipeline,
+    ModelJob,
+    MultiModelScheduler,
 )
 from repro.pipeline.planner import BatchSizer
 from repro.scoring.compiled import ReferenceStore
@@ -99,17 +100,15 @@ def test_fleet_throughput(benchmark):
     executor.map(math.factorial, list(range(FLEET_WORKERS)))
 
     def run_fleet():
-        sharded = ShardedEvaluationPipeline(
-            _remote_model(inner),
+        model = _remote_model(inner)
+        with MultiModelScheduler(
+            [ModelJob(model, requests)],
             shards=SHARDS,
             executor=executor,
             generate_executor=AsyncExecutor(max_concurrency=GENERATE_CONCURRENCY),
             store=ReferenceStore(),
-        )
-        try:
-            return sharded.run(requests)
-        finally:
-            sharded.close()
+        ) as scheduler:
+            return scheduler.run()[model.name]
 
     try:
         fleet_eval = benchmark.pedantic(run_fleet, rounds=1, iterations=1)

@@ -38,7 +38,6 @@ from repro.pipeline import (
     ModelJob,
     MultiModelScheduler,
     ProcessExecutor,
-    ShardedEvaluationPipeline,
 )
 from repro.pipeline.planner import CostPlanner, CountPlanner
 from repro.scoring.compiled import ReferenceStore
@@ -110,16 +109,16 @@ def test_multimodel_throughput(benchmark):
     sequential = {}
     for job in _jobs(driver):
         with ProcessExecutor(max_workers=SCORE_WORKERS) as score_executor:
-            with ShardedEvaluationPipeline(
-                job.model,
+            with MultiModelScheduler(
+                [job],
                 shards=SHARDS,
                 executor=score_executor,
                 generate_executor=AsyncExecutor(max_concurrency=GENERATE_CONCURRENCY),
                 store=store,
                 batch_size=BATCH_SIZE,
                 prefetch_batches=PREFETCH_BATCHES,
-            ) as sharded:
-                sequential[job.name] = sharded.run(job.requests)
+            ) as scheduler:
+                sequential[job.name] = scheduler.run()[job.name]
     sequential_seconds = time.perf_counter() - start
 
     # --- interleaved leaderboard through the multi-model scheduler -------

@@ -30,8 +30,9 @@ from repro.llm.remote import RemoteEndpointModel
 from repro.pipeline import (
     AsyncExecutor,
     EvaluationPipeline,
+    ModelJob,
+    MultiModelScheduler,
     ProcessExecutor,
-    ShardedEvaluationPipeline,
 )
 from repro.scoring.compiled import ReferenceStore
 
@@ -74,18 +75,16 @@ def test_sharded_throughput(benchmark):
 
     # --- sharded process+async path --------------------------------------
     def run_sharded():
+        model = _remote_model(inner)
         with ProcessExecutor(max_workers=SCORE_WORKERS) as score_executor:
-            sharded = ShardedEvaluationPipeline(
-                _remote_model(inner),
+            with MultiModelScheduler(
+                [ModelJob(model, requests)],
                 shards=SHARDS,
                 executor=score_executor,
                 generate_executor=AsyncExecutor(max_concurrency=GENERATE_CONCURRENCY),
                 store=ReferenceStore(),
-            )
-            try:
-                return sharded.run(requests)
-            finally:
-                sharded.close()
+            ) as scheduler:
+                return scheduler.run()[model.name]
 
     sharded_eval = benchmark.pedantic(run_sharded, rounds=1, iterations=1)
     sharded_seconds = benchmark.stats.stats.mean

@@ -1,18 +1,21 @@
-"""Work stealing vs static round-robin, and calibrated re-planning.
+"""Work stealing on a skewed leaderboard, and calibrated re-planning.
 
 Two guards on the dynamic half of the scheduler subsystem:
 
-1. **Stealing beats the static schedule on a skewed leaderboard.**  One
-   model sits behind a slow endpoint (200 ms/request) while the others
-   are fast; the static round-robin must *release* batch k of every model
-   before batch k+1 of any, so each slow batch stalls the stream — the
-   prefetch window fills, the generation workers idle, and the scoring
-   CPU drains dry while the slow endpoint grinds.  With stealing, ready
-   batches release in readiness order and the idle scoring consumer claims
-   batches itself, so the slow model's generation overlaps everyone's
-   scoring end to end.  The guard is a same-machine, same-process speedup
-   *ratio* (≥ 1.25x), so a slow runner cannot flake it — only a real loss
-   of overlap can.
+1. **Stealing overlaps a straggler with everyone else's work.**  One
+   model sits behind a slow endpoint (200 ms/request) while the other
+   eleven are fast.  The straggler's run is bound by its endpoint waits,
+   the others' by scoring CPU, so the two can overlap almost completely.
+   The guard times the straggler alone, the other eleven alone, and all
+   twelve together on the same stealing scheduler: the combined run must
+   beat the sum of the two group runs by >= 1.25x.  That holds only if
+   ready batches release in readiness order and the idle scoring consumer
+   claims batches itself, so the slow model's generation hides behind
+   everyone's scoring end to end.  A schedule that releases batches in a
+   fixed global order — the round-robin this guard used to be measured
+   against — reads ~1.0x here (1.02-1.09x on two vCPUs).  The guard is a
+   same-machine, same-process speedup *ratio*, so a slow runner cannot
+   flake it — only a real loss of overlap can.
 
 2. **Calibrated re-planning tightens *measured* shard balance.**  The
    Figure 5 cost model predicts simulated cluster seconds, which are
@@ -38,29 +41,26 @@ from repro.evalcluster.calibration import CalibratedCostModel, CalibrationStore
 from repro.evalcluster.cost import CostModel
 from repro.llm.registry import available_models, get_model
 from repro.llm.remote import RemoteEndpointModel
-from repro.pipeline import (
-    AsyncExecutor,
-    ModelJob,
-    MultiModelScheduler,
-    ShardedEvaluationPipeline,
-)
+from repro.pipeline import AsyncExecutor, ModelJob, MultiModelScheduler
 from repro.pipeline.planner import CostPlanner
 from repro.scoring.compiled import ReferenceStore
 
 #: One straggler endpoint in a full Table 4 leaderboard — the skew
 #: stealing absorbs.  Eleven fast models supply the scoring-side work the
-#: static schedule cannot overlap with the straggler's waits.
+#: straggler's endpoint waits can hide behind.
 MODEL_NAMES = tuple(available_models())
 SLOW_MODEL = "gpt-4"
 SLOW_LATENCY = 0.2
 FAST_LATENCY = 0.002
+FAST_MODELS = tuple(name for name in MODEL_NAMES if name != SLOW_MODEL)
 
 SHARDS = 2
 GENERATE_CONCURRENCY = 8
 PREFETCH_BATCHES = 2
 
-#: The guard: the stealing schedule must beat the static round-robin end
-#: to end by at least this factor on the skewed corpus (single core).
+#: The guard: the combined leaderboard must beat the straggler's run plus
+#: the other models' run end to end by at least this factor on the skewed
+#: corpus (single core).
 MIN_SPEEDUP = 1.25
 
 #: Where the calibration guard leaves its store for the CI artifact.
@@ -79,82 +79,92 @@ def _batch_size(total: int) -> int:
     return max(1, round(total / 8))
 
 
-def _jobs(driver: CloudEvalBenchmark) -> list[ModelJob]:
+def _jobs(suite: CloudEvalBenchmark, names) -> list[ModelJob]:
     jobs = []
-    for name in MODEL_NAMES:
+    for name in names:
         latency = SLOW_LATENCY if name == SLOW_MODEL else FAST_LATENCY
         model = RemoteEndpointModel(
             get_model(name), latency_seconds=latency, jitter_seconds=latency / 16, seed=11
         )
-        resolved, requests = driver.requests(model, problems=_problems())
+        resolved, requests = suite.requests(model, problems=_problems())
         jobs.append(ModelJob(resolved, requests))
     return jobs
 
 
-def _run_leaderboard(driver: CloudEvalBenchmark, store: ReferenceStore, steal: bool):
+def _run_leaderboard(suite: CloudEvalBenchmark, store: ReferenceStore, names):
     problems = _problems()
     with MultiModelScheduler(
-        _jobs(driver),
+        _jobs(suite, names),
         shards=SHARDS,
         executor="serial",
         generate_executor=AsyncExecutor(max_concurrency=GENERATE_CONCURRENCY),
         store=store,
         batch_size=_batch_size(len(problems)),
         prefetch_batches=PREFETCH_BATCHES,
-        steal=steal,
     ) as scheduler:
         return scheduler.run()
 
 
-def test_stealing_beats_static_round_robin(benchmark):
+def _timed_leaderboard(suite: CloudEvalBenchmark, store: ReferenceStore, names):
+    start = time.perf_counter()
+    result = _run_leaderboard(suite, store, names)
+    return result, time.perf_counter() - start
+
+
+def test_stealing_overlaps_the_straggler_with_the_rest(benchmark):
     dataset = bench_dataset()
-    driver = CloudEvalBenchmark(dataset, BenchmarkConfig())
+    suite = CloudEvalBenchmark(dataset, BenchmarkConfig())
     store = ReferenceStore()
     for problem in dataset:
         store.get(problem)
 
     # Warm every process-level cache (reference compilation, parsed
-    # manifests) with an untimed latency-free pass, so neither timed run
-    # pays one-time costs the other inherits for free.
-    warm_driver = CloudEvalBenchmark(dataset, BenchmarkConfig())
+    # manifests) with an untimed latency-free pass, so no timed run pays
+    # one-time costs the others inherit for free.
+    warm_suite = CloudEvalBenchmark(dataset, BenchmarkConfig())
     for name in MODEL_NAMES:
-        warm_driver.evaluate_model(name, problems=_problems())
+        warm_suite.evaluate_model(name, problems=_problems())
 
-    # --- static round-robin baseline (the PR 4 schedule) ----------------
-    start = time.perf_counter()
-    static = _run_leaderboard(driver, store, steal=False)
-    static_seconds = time.perf_counter() - start
+    # --- each group alone: nothing to overlap across the groups ----------
+    straggler, straggler_seconds = _timed_leaderboard(suite, store, (SLOW_MODEL,))
+    others, others_seconds = _timed_leaderboard(suite, store, FAST_MODELS)
+    separate_seconds = straggler_seconds + others_seconds
 
-    # --- work stealing ---------------------------------------------------
+    # --- all twelve together on the same stealing scheduler -------------
     result = benchmark.pedantic(
-        lambda: _run_leaderboard(driver, store, steal=True), rounds=1, iterations=1
+        lambda: _run_leaderboard(suite, store, MODEL_NAMES), rounds=1, iterations=1
     )
-    steal_seconds = benchmark.stats.stats.mean
-    speedup = static_seconds / steal_seconds
+    combined_seconds = benchmark.stats.stats.mean
+    speedup = separate_seconds / combined_seconds
 
-    requests = sum(len(evaluation.records) for evaluation in static.values())
+    requests = sum(len(evaluation.records) for evaluation in result.values())
     benchmark.extra_info["requests"] = requests
     benchmark.extra_info["slow_latency_ms"] = SLOW_LATENCY * 1000
-    benchmark.extra_info["static_seconds"] = round(static_seconds, 4)
-    benchmark.extra_info["steal_seconds"] = round(steal_seconds, 4)
+    benchmark.extra_info["straggler_seconds"] = round(straggler_seconds, 4)
+    benchmark.extra_info["others_seconds"] = round(others_seconds, 4)
+    benchmark.extra_info["combined_seconds"] = round(combined_seconds, 4)
     benchmark.extra_info["speedup"] = round(speedup, 2)
 
     print(
         f"\nSkewed leaderboard over {len(MODEL_NAMES)} models / {requests} requests "
         f"({SLOW_MODEL} at {SLOW_LATENCY * 1000:.0f}ms, rest at {FAST_LATENCY * 1000:.0f}ms):"
-        f"\n  static round-robin : {static_seconds:6.2f} s"
-        f"\n  work stealing      : {steal_seconds:6.2f} s"
-        f"\n  speedup            : {speedup:6.2f} x"
+        f"\n  {SLOW_MODEL} alone          : {straggler_seconds:6.2f} s"
+        f"\n  other {len(FAST_MODELS)} alone        : {others_seconds:6.2f} s"
+        f"\n  all {len(MODEL_NAMES)} together       : {combined_seconds:6.2f} s"
+        f"\n  speedup              : {speedup:6.2f} x"
     )
 
-    # Stealing must not move a single record...
-    for name, evaluation in static.items():
-        assert result[name].records == evaluation.records
+    # Scheduling the groups together must not move a single record...
+    assert list(result) == list(MODEL_NAMES)
+    for group in (straggler, others):
+        for name, evaluation in group.items():
+            assert result[name].records == evaluation.records
 
-    # ...and must actually absorb the straggler (ratio-based guard).
+    # ...and stealing must actually overlap them (ratio-based guard).
     assert speedup >= MIN_SPEEDUP, (
         f"stealing speedup {speedup:.2f}x fell below the {MIN_SPEEDUP}x floor "
-        f"(static {static_seconds:.2f}s, stealing {steal_seconds:.2f}s)"
+        f"({SLOW_MODEL} alone {straggler_seconds:.2f}s + others alone "
+        f"{others_seconds:.2f}s vs together {combined_seconds:.2f}s)"
     )
 
 
@@ -180,14 +190,14 @@ def test_calibrated_replanning_tightens_measured_shard_spread():
         model, requests = CloudEvalBenchmark(dataset, BenchmarkConfig()).requests(
             "gpt-4", problems=problems
         )
-        with ShardedEvaluationPipeline(
-            model,
+        with MultiModelScheduler(
+            [ModelJob(model, requests)],
             shards=shards,
             planner=planner,
             store=references,
             calibration=calibration,
-        ) as pipeline:
-            return requests, pipeline.run(requests)
+        ) as scheduler:
+            return requests, scheduler.run()[model.name]
 
     # Run 1 — cold: shards cut on the Figure 5 constants alone, while the
     # calibration store records what every problem actually took.

@@ -26,7 +26,13 @@ from repro import build_dataset
 from repro.core import BenchmarkConfig, CloudEvalBenchmark
 from repro.dataset.schema import Variant
 from repro.llm.remote import RemoteEndpointModel
-from repro.pipeline import AsyncExecutor, EvaluationPipeline, ProcessExecutor, ShardedEvaluationPipeline
+from repro.pipeline import (
+    AsyncExecutor,
+    EvaluationPipeline,
+    ModelJob,
+    MultiModelScheduler,
+    ProcessExecutor,
+)
 from repro.scoring.compiled import ReferenceStore
 
 MODEL_NAME = "gpt-3.5"
@@ -64,14 +70,17 @@ def main() -> None:
     start = time.perf_counter()
     # An executor passed as an instance stays caller-owned; the `with`
     # blocks shut both pools down deterministically.
-    with ProcessExecutor(max_workers=2) as score_executor, ShardedEvaluationPipeline(
-        remote(inner),
+    # A sharded single-model run is one job on the scheduler that also
+    # runs whole leaderboards.
+    model = remote(inner)
+    with ProcessExecutor(max_workers=2) as score_executor, MultiModelScheduler(
+        [ModelJob(model, requests)],
         shards=4,
         executor=score_executor,
         generate_executor=AsyncExecutor(max_concurrency=16),
         store=ReferenceStore(),
-    ) as sharded:
-        overlapped = sharded.run(requests)
+    ) as scheduler:
+        overlapped = scheduler.run()[model.name]
     sharded_s = time.perf_counter() - start
     print(f"sharded async + process scoring    : {sharded_s:5.2f} s  ({serial_s / sharded_s:.1f}x)")
 

@@ -42,7 +42,6 @@ from repro.pipeline.pipeline import EvaluationPipeline
 from repro.pipeline.planner import BatchSizer, ShardPlanner, resolve_planner
 from repro.pipeline.records import EvaluationRecord, ModelEvaluation
 from repro.pipeline.scheduler import ModelJob, MultiModelScheduler
-from repro.pipeline.sharding import ShardedEvaluationPipeline
 from repro.scoring.cache import ScoreCache, resolve_score_cache
 from repro.scoring.compiled import ReferenceStore
 
@@ -228,16 +227,12 @@ class CloudEvalBenchmark:
             model_spec=self._model_spec(model),
         )
 
-    def sharded_pipeline(
-        self,
-        model: Model,
-        checkpoint: str | None = None,
-    ) -> ShardedEvaluationPipeline:
-        """A sharded, overlapped pipeline for ``model`` wired to this
-        benchmark's configuration; ``checkpoint`` is the per-shard base path."""
+    def _scheduler(self, jobs: Sequence[ModelJob]) -> MultiModelScheduler:
+        """A scheduler over ``jobs`` wired to this benchmark's configuration
+        (shards, planner, executors, batch cuts, cost model, shared stores)."""
 
-        return ShardedEvaluationPipeline(
-            model,
+        return MultiModelScheduler(
+            jobs,
             shards=self.config.shards,
             planner=self.planner(),
             executor=self.config.executor,
@@ -247,14 +242,11 @@ class CloudEvalBenchmark:
             lease_seconds=self.config.lease_seconds,
             store=self._references,
             run_unit_tests=self.config.run_unit_tests,
-            checkpoint=checkpoint,
             batch_size=self.config.batch_size,
-            steal=self.config.steal,
             cost_model=self.cost_model(),
             calibration=self._calibration,
             score_cache=self._score_cache,
             batch_sizer=self.batch_sizer(),
-            model_spec=self._model_spec(model),
         )
 
     # ------------------------------------------------------------------
@@ -270,22 +262,22 @@ class CloudEvalBenchmark:
     ) -> ModelEvaluation:
         """Evaluate one model and return its scored records.
 
-        With ``config.shards > 1`` the requests are split across that many
-        overlapped sub-pipelines (``checkpoint``, if given, must then be a
-        base path — each shard keeps its own file); the records are
-        identical to an unsharded run either way.
+        With ``config.shards > 1`` the run goes through the
+        :class:`~repro.pipeline.scheduler.MultiModelScheduler` as a single
+        job: the requests are split across that many overlapped shards,
+        and ``checkpoint``, if given, must then be a base path — each
+        shard keeps its own file (``<base>.shard-ii-of-nn``).  The records
+        are identical to an unsharded run either way.
         """
 
         resolved, requests = self.requests(model, problems=problems, shots=shots, samples=samples)
         if self.config.shards > 1:
-            if isinstance(checkpoint, PipelineCheckpoint):
-                raise TypeError(
-                    "a sharded run derives one checkpoint file per shard; pass the "
-                    "base path instead of a PipelineCheckpoint instance"
-                )
-            pipeline = self.sharded_pipeline(resolved, checkpoint=checkpoint)
-        else:
-            pipeline = self.pipeline(resolved, checkpoint=checkpoint)
+            job = ModelJob(
+                resolved, requests, checkpoint=checkpoint, model_spec=self._model_spec(resolved)
+            )
+            with self._scheduler([job]) as scheduler:
+                return scheduler.run()[resolved.name]
+        pipeline = self.pipeline(resolved, checkpoint=checkpoint)
         try:
             return pipeline.run(requests)
         finally:
@@ -298,7 +290,6 @@ class CloudEvalBenchmark:
         shots: int | None = None,
         samples: int | None = None,
         checkpoint: str | os.PathLike[str] | None = None,
-        steal: bool | None = None,
     ) -> BenchmarkResult:
         """Evaluate several models (default: all twelve from the registry).
 
@@ -306,15 +297,13 @@ class CloudEvalBenchmark:
         :class:`~repro.pipeline.scheduler.MultiModelScheduler`: every
         model's planned shards interleave over one shared generation
         executor and one shared scoring pool, so the endpoint and the CPU
-        stay busy simultaneously instead of one model at a time.  With
-        ``steal`` (default: ``config.steal``, i.e. on) idle capacity
-        dynamically steals batches from the model with the longest
-        predicted remaining seconds instead of following the static
-        round-robin.  Each ``(model, shard)`` pair keeps its own
+        stay busy simultaneously instead of one model at a time, and idle
+        capacity steals batches from the model with the longest predicted
+        remaining seconds.  Each ``(model, shard)`` pair keeps its own
         checkpoint file derived from the ``checkpoint`` base path, making
         a killed leaderboard run resumable.  The per-model evaluations are
         bit-identical to sequential :meth:`evaluate_model` calls for every
-        executor backend, every planner, and either scheduling policy.
+        executor backend and every planner.
         """
 
         names = list(models) if models is not None else available_models()
@@ -344,28 +333,5 @@ class CloudEvalBenchmark:
                     model_spec=self._model_spec(resolved),
                 )
             )
-        scheduler = MultiModelScheduler(
-            jobs,
-            shards=self.config.shards,
-            planner=self.planner(),
-            executor=self.config.executor,
-            generate_executor=self.config.generate_executor,
-            max_workers=self.config.max_workers,
-            rate_limit=self.config.rate_limit,
-            lease_seconds=self.config.lease_seconds,
-            store=self._references,
-            run_unit_tests=self.config.run_unit_tests,
-            batch_size=self.config.batch_size,
-            steal=self.config.steal if steal is None else steal,
-            cost_model=self.cost_model(),
-            calibration=self._calibration,
-            score_cache=self._score_cache,
-            batch_sizer=self.batch_sizer(),
-        )
-        try:
-            evaluations = scheduler.run()
-        finally:
-            scheduler.close()
-        result = BenchmarkResult()
-        result.evaluations.update(evaluations)
-        return result
+        with self._scheduler(jobs) as scheduler:
+            return BenchmarkResult(evaluations=scheduler.run())

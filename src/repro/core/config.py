@@ -71,11 +71,14 @@ class BenchmarkConfig:
         no leases): a worker that dies between claim and report gets its
         job re-enqueued once for a surviving worker.
     shards:
-        Number of evaluation shards.  With ``shards > 1``,
-        ``evaluate_model`` splits its requests across that many
-        sub-pipelines (one checkpoint file per shard) and streams them so
-        generation of one shard overlaps scoring of the previous one.
-        ScoreCards are identical for every shard count.
+        Number of evaluation shards per model.  With ``shards > 1``,
+        ``evaluate_model`` runs the model as one job of the
+        :class:`~repro.pipeline.scheduler.MultiModelScheduler` — the same
+        scheduler ``evaluate_models`` runs a leaderboard through — which
+        splits the requests into that many shards (one checkpoint file
+        per shard) and streams them so generation of one shard overlaps
+        scoring of the previous one.  ScoreCards are identical for every
+        shard count.
     shard_by:
         Where the contiguous shard cuts land: ``"count"`` balances shards
         by request count (the default), ``"cost"`` balances them by the
@@ -107,13 +110,12 @@ class BenchmarkConfig:
         predictions are the calibrated ones, so batch boundaries adapt
         to measured durations.  Records are bit-identical either way.
     steal:
-        Scheduling policy of multi-model (and sharded) runs.  ``True``
-        (the default): idle generation workers — and the idle scoring
-        consumer — steal the next batch from the job with the longest
-        predicted remaining seconds, so one straggler model cannot
-        bubble the whole leaderboard.  ``False``: the static round-robin
-        interleave.  Records are bit-identical either way; only the
-        wall-clock moves.
+        Accepts only ``True``, and exists only so that configurations
+        which spell out ``steal=True`` keep working.  Scheduled runs
+        always steal: idle generation workers — and the idle scoring
+        consumer — take the next batch from the job with the longest
+        predicted remaining seconds.  The static round-robin schedule
+        that ``False`` used to select was removed.
     calibration:
         Cost-model calibration: a
         :class:`~repro.evalcluster.calibration.CalibrationStore` instance
@@ -187,6 +189,11 @@ class BenchmarkConfig:
             raise ValueError(f"generate_executor must be one of {GENERATE_EXECUTOR_NAMES}")
         if self.shards < 1:
             raise ValueError("shards must be >= 1")
+        if self.steal is not True:
+            raise ValueError(
+                "steal must be True: the static round-robin schedule was removed "
+                "and every scheduled run steals work"
+            )
         if self.shard_by not in PLANNER_NAMES:
             raise ValueError(f"shard_by must be one of {PLANNER_NAMES}")
         if self.planner is not None and not callable(getattr(self.planner, "plan", None)):

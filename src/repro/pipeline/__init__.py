@@ -9,20 +9,19 @@ job/claim/report protocol with the Figure 5 simulation, an asyncio
 backend with token-bucket rate limiting for remote endpoints, or a
 process pool for CPU-bound scoring.
 
-For wall-clock-bound runs, :class:`ShardedEvaluationPipeline` splits the
-requests across ``N`` sub-pipelines (one checkpoint file each) and
-streams them: generation of shard *k+1* overlaps scoring of shard *k*,
-and the merged result is bit-identical to an unsharded run.  Where the
-cuts land is a pluggable :class:`ShardPlanner` policy — by request count
-(:class:`CountPlanner`) or by Figure 5-predicted seconds so heterogeneous
-shards finish together (:class:`CostPlanner`).  A leaderboard run hands
-several models to the :class:`MultiModelScheduler`, which interleaves
-their shards over one shared generation executor and one shared scoring
-pool with per-``(model, shard)`` checkpoints — dynamically by default:
-idle workers steal the next batch from the job with the longest
-predicted remaining seconds (:class:`StealPolicy`), re-predicted from
-measured durations when a calibration store is wired in
-(:mod:`repro.evalcluster.calibration`).
+For wall-clock-bound runs, :class:`MultiModelScheduler` splits each
+model's requests into ``N`` contiguous shards (one checkpoint file each)
+and streams them: generation of shard *k+1* overlaps scoring of shard
+*k*, and the merged result is bit-identical to an unsharded run.  Where
+the cuts land is a pluggable :class:`ShardPlanner` policy — by request
+count (:class:`CountPlanner`) or by Figure 5-predicted seconds so
+heterogeneous shards finish together (:class:`CostPlanner`).  The same
+scheduler runs one model or a whole leaderboard: it interleaves every
+job's shards over one shared generation executor and one shared scoring
+pool with per-``(model, shard)`` checkpoints, and idle workers steal the
+next batch from the job with the longest predicted remaining seconds
+(:class:`StealPolicy`), re-predicted from measured durations when a
+calibration store is wired in (:mod:`repro.evalcluster.calibration`).
 
 Typical use::
 
@@ -68,9 +67,8 @@ from repro.pipeline.planner import (
     ShardPlanner,
     resolve_planner,
 )
-from repro.pipeline.records import EvaluationRecord, ModelEvaluation
+from repro.pipeline.records import EvaluationRecord, ModelEvaluation, merge_evaluations
 from repro.pipeline.scheduler import ModelJob, MultiModelScheduler, StealPolicy
-from repro.pipeline.sharding import ShardedEvaluationPipeline, merge_evaluations
 from repro.pipeline.stages import (
     AggregateStage,
     ExtractStage,
@@ -108,7 +106,6 @@ __all__ = [
     "SerialExecutor",
     "ShardPlan",
     "ShardPlanner",
-    "ShardedEvaluationPipeline",
     "Stage",
     "StageContext",
     "StealPolicy",

@@ -1,7 +1,6 @@
 """Shard planning: deciding *where* a run's requests are cut into shards.
 
-Sharded evaluation (:mod:`repro.pipeline.sharding`) and the multi-model
-scheduler (:mod:`repro.pipeline.scheduler`) both consume a
+The scheduler (:mod:`repro.pipeline.scheduler`) consumes a
 :class:`ShardPlan` — a contiguous split of the request list — but how the
 cut points are chosen is a policy, and this module is its seam:
 

@@ -15,7 +15,13 @@ import numpy as np
 
 from repro.scoring.aggregate import METRIC_NAMES, ScoreCard
 
-__all__ = ["EvaluationRecord", "ModelEvaluation", "record_to_dict", "record_from_dict"]
+__all__ = [
+    "EvaluationRecord",
+    "ModelEvaluation",
+    "merge_evaluations",
+    "record_to_dict",
+    "record_from_dict",
+]
 
 
 @dataclass(frozen=True)
@@ -164,3 +170,35 @@ class ModelEvaluation:
         if not records:
             return 0.0
         return float(np.mean([r.scores.unit_test for r in records]))
+
+
+def merge_evaluations(evaluations: Sequence[ModelEvaluation]) -> ModelEvaluation:
+    """Recombine per-shard evaluations of one model, in shard order.
+
+    Because a :class:`~repro.pipeline.planner.ShardPlan` split is
+    contiguous, concatenating the shards' records reproduces the unsharded
+    record order — and therefore an unsharded run's
+    :class:`ModelEvaluation` — bit-identically.  Use this when shards were
+    evaluated independently (separate processes or machines) rather than
+    through :class:`~repro.pipeline.scheduler.MultiModelScheduler`.
+    """
+
+    if not evaluations:
+        raise ValueError(
+            "no evaluations to merge: expected one ModelEvaluation per shard, got an "
+            "empty sequence (did every shard of the run fail before producing records?)"
+        )
+    sizes = [len(evaluation.records) for evaluation in evaluations]
+    first_name = evaluations[0].model_name
+    for index, evaluation in enumerate(evaluations):
+        if evaluation.model_name != first_name:
+            raise ValueError(
+                f"cannot merge evaluations of different models: shard 0 is "
+                f"{first_name!r} but shard {index} is {evaluation.model_name!r} "
+                f"(shard sizes: {sizes}); merge_evaluations recombines shards of "
+                f"ONE model — combine models in a BenchmarkResult instead"
+            )
+    records: list[EvaluationRecord] = []
+    for evaluation in evaluations:
+        records.extend(evaluation.records)
+    return ModelEvaluation(model_name=first_name, records=records)

@@ -11,36 +11,32 @@ batch units, and drives them all through **one** shared generation
 executor and **one** shared scoring executor, so a leaderboard run
 saturates the endpoint and the scoring pool simultaneously.
 
-How the units are *ordered* is the scheduling policy:
+How the units are *ordered* is work stealing: units live in per-job
+deques behind one shared claim point.  Whenever a generation worker — or
+the scoring consumer itself — goes idle, it steals the next batch from
+the job with the longest **predicted remaining seconds**
+(:class:`StealPolicy`), so a straggler model is attacked early and its
+bubbles are filled with other models' work.  Predictions come from the
+configured :class:`~repro.evalcluster.cost.CostModel`; with a
+:class:`~repro.evalcluster.calibration.CalibratedCostModel` they are
+*re-predicted as measurements arrive* — the store's version bump
+invalidates the remaining-seconds estimates, so the steal order adapts
+mid-run to observed rather than modelled durations.  Claims are also
+weighted by the *claimant*: with per-worker relative speeds known
+(``worker_speeds``, or a fleet backend's heartbeat-observed throughput),
+a markedly slow worker takes the cheapest next batch instead of the
+straggler's — the critical path stays with fast workers
+(:class:`StealPolicy`'s ``slow_worker_threshold``).
 
-* **Work stealing** (``steal=True``, the default): units live in per-job
-  deques behind one shared claim point.  Whenever a generation worker —
-  or the scoring consumer itself — goes idle, it steals the next batch
-  from the job with the longest **predicted remaining seconds**
-  (:class:`StealPolicy`), so a straggler model is attacked early and its
-  bubbles are filled with other models' work.  Predictions come from the
-  configured :class:`~repro.evalcluster.cost.CostModel`; with a
-  :class:`~repro.evalcluster.calibration.CalibratedCostModel` they are
-  *re-predicted as measurements arrive* — the store's version bump
-  invalidates the remaining-seconds estimates, so the steal order adapts
-  mid-run to observed rather than modelled durations.  Claims are also
-  weighted by the *claimant*: with per-worker relative speeds known
-  (``worker_speeds``, or a fleet backend's heartbeat-observed
-  throughput), a markedly slow worker takes the cheapest next batch
-  instead of the straggler's — the critical path stays with fast
-  workers (:class:`StealPolicy`'s ``slow_worker_threshold``).
-* **Static round-robin** (``steal=False``): the PR 4 behaviour — batch k
-  of every job before batch k+1 of any job, released in exactly that
-  order.  Kept as the baseline the stealing benchmark measures against.
-
-Determinism of *results* is preserved under both policies: a model's
-batches are claimed and released in request order (stealing only reorders
-*between* models), every stage is a pure function, and records are folded
-back per model — so each model's
-:class:`~repro.pipeline.records.ModelEvaluation` is bit-identical to a
-sequential ``evaluate_model`` run, for every executor backend, every
-planner, and either scheduling policy.  Stealing reorders execution,
-never record identity.
+Determinism of *results* is preserved: a model's batches are claimed and
+released in request order (stealing only reorders *between* models),
+every stage is a pure function, and records are folded back per model —
+so each model's :class:`~repro.pipeline.records.ModelEvaluation` is
+bit-identical to a sequential ``evaluate_model`` run, for every executor
+backend and every planner.  Stealing reorders execution, never record
+identity.  A single-model sharded run is simply a scheduler with one
+:class:`ModelJob`: generation of shard *k+1* overlaps scoring of shard
+*k*.
 
 Each ``(model, shard)`` pair keeps its own checkpoint file derived from
 the job's base path, so a killed leaderboard run resumes exactly where
@@ -199,15 +195,17 @@ class StealPolicy:
 class MultiModelScheduler:
     """Interleave planned shards of several models over shared executors.
 
-    Parameters mirror :class:`~repro.pipeline.sharding.ShardedEvaluationPipeline`
-    — which is now the single-model client of this class — with two
-    generalisations: ``jobs`` is a sequence of :class:`ModelJob`s instead
-    of one model, and ``planner`` decides where each job's requests are
-    cut (:class:`~repro.pipeline.planner.CountPlanner` by default,
+    Parameters mirror :class:`~repro.pipeline.pipeline.EvaluationPipeline`
+    with these generalisations: ``jobs`` is a sequence of
+    :class:`ModelJob`s instead of one model (pass one job for a sharded
+    single-model run), ``shards`` is how many contiguous shards each job's
+    requests are split into (one checkpoint file each), ``planner``
+    decides where the cuts land
+    (:class:`~repro.pipeline.planner.CountPlanner` by default,
     :class:`~repro.pipeline.planner.CostPlanner` to balance by predicted
-    seconds).
+    seconds), and ``prefetch_batches`` bounds how many prepared batches
+    generation may run ahead of scoring.
 
-    ``steal`` selects the scheduling policy (see the module docstring);
     ``cost_model`` prices batches for the steal policy's remaining-seconds
     estimates, ``calibration`` is the
     :class:`~repro.evalcluster.calibration.CalibrationStore` every
@@ -239,7 +237,6 @@ class MultiModelScheduler:
         run_unit_tests: bool = True,
         batch_size: int = DEFAULT_BATCH_SIZE,
         prefetch_batches: int = 2,
-        steal: bool = True,
         steal_policy: StealPolicy | None = None,
         cost_model: CostModel | None = None,
         calibration: "CalibrationStore | None" = None,
@@ -272,7 +269,6 @@ class MultiModelScheduler:
         self.batch_size = batch_size
         self.batch_sizer = batch_sizer
         self.prefetch_batches = prefetch_batches
-        self.steal = steal
         self.steal_policy = steal_policy if steal_policy is not None else StealPolicy()
         if worker_speeds is not None and not worker_speeds:
             worker_speeds = None
@@ -443,10 +439,10 @@ class MultiModelScheduler:
 
         Within a job, records arrive strictly in request order (each
         sub-pipeline's checkpoint and the per-model fold rely on it);
-        between jobs the stream weaves according to the configured
-        scheduling policy.  Generation workers run the generation-side
-        half of every batch — at most ``prefetch_batches`` in flight —
-        while this thread scores and yields.  A per-job lock keeps one
+        between jobs the stream weaves in steal order.  Generation workers
+        run the generation-side half of every batch — at most
+        ``prefetch_batches`` in flight — while this thread scores and
+        yields.  A per-job lock keeps one
         model's batches from generating *concurrently* (models need not
         be thread-safe), though under the in-flight window a job's batches
         may prepare out of claim order; that is safe because generation is
@@ -454,95 +450,10 @@ class MultiModelScheduler:
         within-batch overlap already relies on.
         """
 
-        per_job = self._build_units()
-        if self.steal:
-            yield from self._run_iter_steal(per_job)
-        else:
-            yield from self._run_iter_static(per_job)
+        yield from self._run_iter_steal(self._build_units())
 
     # ------------------------------------------------------------------
-    # Static round-robin (the steal=False baseline)
-    # ------------------------------------------------------------------
-    def _run_iter_static(
-        self, per_job: list[list[Unit]]
-    ) -> Iterator[tuple[str, EvaluationRecord]]:
-        """Batch k of every job before batch k+1 of any job, released in
-        exactly that order — deterministic, fair, and per-job ordered."""
-
-        order: list[tuple[int, EvaluationPipeline, list[GenerationRequest]]] = [
-            (job_index, *per_job[job_index][unit_index])
-            for unit_index in range(max((len(units) for units in per_job), default=0))
-            for job_index in range(len(per_job))
-            if unit_index < len(per_job[job_index])
-        ]
-
-        stop = threading.Event()
-        ready = threading.Condition()
-        results: dict[int, object] = {}
-        next_claim = [0]
-        in_flight = threading.Semaphore(self.prefetch_batches)
-        job_locks = [threading.Lock() for _ in self.jobs]
-
-        def produce() -> None:
-            while not stop.is_set():
-                if not in_flight.acquire(timeout=0.05):
-                    continue  # re-check stop while the window is full
-                with ready:
-                    if next_claim[0] >= len(order):
-                        in_flight.release()
-                        return
-                    index = next_claim[0]
-                    next_claim[0] += 1
-                job_index, pipeline, batch = order[index]
-                try:
-                    with job_locks[job_index]:
-                        entry: object = (job_index, pipeline, pipeline.prepare_batch(batch))
-                except BaseException as exc:  # noqa: BLE001 - relayed to the consumer
-                    entry = _ProducerFailure(exc)
-                with ready:
-                    results[index] = entry
-                    ready.notify_all()
-                if isinstance(entry, _ProducerFailure):
-                    return
-
-        workers = [
-            threading.Thread(target=produce, name=f"leaderboard-generator-{i}", daemon=True)
-            for i in range(self._generation_workers(len(order)))
-        ]
-        for worker in workers:
-            worker.start()
-        try:
-            for index in range(len(order)):
-                with ready:
-                    while index not in results:
-                        if not any(worker.is_alive() for worker in workers):
-                            break
-                        ready.wait(timeout=0.05)
-                    entry = results.pop(index, None)
-                if entry is None:
-                    raise RuntimeError(
-                        "generation workers exited without producing batch "
-                        f"{index} of {len(order)}"
-                    )  # pragma: no cover - defensive; a failure entry is the normal path
-                if isinstance(entry, _ProducerFailure):
-                    raise entry.error
-                job_index, pipeline, prepared = entry
-                name = self.jobs[job_index].name
-                for record in pipeline.finish_batch(prepared):
-                    yield name, record
-                in_flight.release()
-        finally:
-            # Reached on completion, on error, and when the consumer
-            # abandons the stream (the resumable-interrupt case): unblock
-            # and retire the workers before handing control back.
-            stop.set()
-            with ready:
-                ready.notify_all()
-            for worker in workers:
-                worker.join(timeout=30.0)
-
-    # ------------------------------------------------------------------
-    # Work stealing (the steal=True default)
+    # Work stealing
     # ------------------------------------------------------------------
     def _run_iter_steal(
         self, per_job: list[list[Unit]]
@@ -556,8 +467,8 @@ class MultiModelScheduler:
         model absorbed new measurements.  Prepared units are *released*
         (scored, checkpointed, yielded) in claim order within each job,
         but across jobs strictly in readiness order: a straggler batch
-        never blocks another model's finished work, which is exactly the
-        bubble the static schedule pays.
+        never blocks another model's finished work, so one slow batch
+        cannot stall the whole stream.
         """
 
         total = sum(len(units) for units in per_job)
@@ -776,7 +687,7 @@ class MultiModelScheduler:
 
         The mapping preserves job order; each evaluation's records are in
         that model's request order — bit-identical to sequential
-        per-model runs under either scheduling policy.
+        per-model runs.
         """
 
         records: dict[str, list[EvaluationRecord]] = {job.name: [] for job in self.jobs}

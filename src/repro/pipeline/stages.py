@@ -106,6 +106,30 @@ class WorkItem:
         )
 
 
+def _mark_degraded(item: WorkItem, reason: str) -> None:
+    """Score ``item`` as a slot the infrastructure lost.
+
+    An abandoned or quarantined fleet job gets an all-zero card whose
+    ``failure_message`` is the executor's reason, and an ``error`` that
+    excludes it from the metric means (unless generation already failed).
+    """
+
+    item.scores = ScoreCard(
+        problem_id=item.request.problem.problem_id,
+        bleu=0.0,
+        edit_distance=0.0,
+        exact_match=0.0,
+        kv_exact=0.0,
+        kv_wildcard=0.0,
+        unit_test=0.0,
+        extracted_yaml=item.extracted,
+        failure_message=reason,
+    )
+    item.score_seconds = 0.0
+    if not item.error:
+        item.error = f"degraded: {reason}"
+
+
 @dataclass(frozen=True)
 class StageContext:
     """Run-scoped services a stage may use.
@@ -330,21 +354,7 @@ class ScoreStage:
         for item in items:
             key = (item.request.problem.problem_id, item.extracted)
             if key not in self._memo and key in degraded:
-                reason = degraded[key]
-                item.scores = ScoreCard(
-                    problem_id=item.request.problem.problem_id,
-                    bleu=0.0,
-                    edit_distance=0.0,
-                    exact_match=0.0,
-                    kv_exact=0.0,
-                    kv_wildcard=0.0,
-                    unit_test=0.0,
-                    extracted_yaml=item.extracted,
-                    failure_message=reason,
-                )
-                item.score_seconds = 0.0
-                if not item.error:
-                    item.error = f"degraded: {reason}"
+                _mark_degraded(item, degraded[key])
                 continue
             card, seconds = self._memo[key]
             item.scores = card
@@ -559,24 +569,10 @@ class FleetGenerationStage:
         outcomes = executor.map(run_generation_task, tasks)
         for item, outcome in zip(items, outcomes):
             if isinstance(outcome, DegradedResult):
-                reason = outcome.reason
                 item.model_name = self.spec.name
                 item.extracted = extract_yaml(item.response)
-                item.scores = ScoreCard(
-                    problem_id=item.request.problem.problem_id,
-                    bleu=0.0,
-                    edit_distance=0.0,
-                    exact_match=0.0,
-                    kv_exact=0.0,
-                    kv_wildcard=0.0,
-                    unit_test=0.0,
-                    extracted_yaml=item.extracted,
-                    failure_message=reason,
-                )
                 item.generate_seconds = 0.0
-                item.score_seconds = 0.0
-                if not item.error:
-                    item.error = f"degraded: {reason}"
+                _mark_degraded(item, outcome.reason)
                 continue
             item.model_name = outcome.model_name
             item.response = outcome.response

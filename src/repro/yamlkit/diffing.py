@@ -34,9 +34,28 @@ def significant_lines(text: str) -> list[str]:
 _significant_lines = significant_lines
 
 
-def line_edit_distance_lines(gen_lines: list[str], ref_lines: list[str]) -> int:
-    """Edit distance between two pre-split significant-line lists."""
+#: ``difflib.SequenceMatcher`` treats lines as junk ("popular") only when
+#: the second sequence has at least this many entries.
+_AUTOJUNK_MIN_LINES = 200
 
+
+def line_edit_distance_lines(gen_lines: list[str], ref_lines: list[str]) -> int:
+    """Edit distance between two pre-split significant-line lists.
+
+    ``Differ.compare`` marks every line outside the matching blocks with one
+    ``-`` or ``+`` entry: a line it pairs with a similar one inside a
+    replaced block still yields a ``-`` and a ``+``, and only a pair of
+    identical lines yields neither.  Without junk such a pair never falls
+    outside the matching blocks, so the count is the unmatched lines of
+    both sides, and the intraline pairing is skipped.  Past
+    :data:`_AUTOJUNK_MIN_LINES` generated lines frequent lines become junk
+    and can be left unmatched, so those answers take the full ``Differ``.
+    """
+
+    if len(gen_lines) < _AUTOJUNK_MIN_LINES:
+        matcher = difflib.SequenceMatcher(None, ref_lines, gen_lines)
+        matched = sum(block.size for block in matcher.get_matching_blocks())
+        return len(ref_lines) + len(gen_lines) - 2 * matched
     differ = difflib.Differ()
     distance = 0
     for entry in differ.compare(ref_lines, gen_lines):

@@ -18,6 +18,12 @@ def test_config_validation():
         BenchmarkConfig(variants=())
 
 
+def test_config_rejects_the_removed_static_schedule():
+    assert BenchmarkConfig(steal=True).steal is True
+    with pytest.raises(ValueError, match="static round-robin"):
+        BenchmarkConfig(steal=False)
+
+
 def test_evaluate_model_covers_all_variants(small_benchmark, small_dataset):
     evaluation = small_benchmark.evaluate_model("gpt-4")
     assert len(evaluation.first_samples()) == len(small_dataset)

@@ -380,7 +380,6 @@ class TestThroughputAwareStealing:
                 shards=2,
                 store=ReferenceStore(),
                 batch_size=3,
-                steal=True,
                 worker_speeds=worker_speeds,
             ) as scheduler:
                 rows = list(scheduler.run_iter())

@@ -1,27 +1,59 @@
-"""The sharded evaluation layer: plans, streaming overlap, merge, resume."""
+"""Sharded single-model runs: plans, streaming overlap, merge, resume.
+
+A sharded run is one :class:`~repro.pipeline.scheduler.ModelJob` on the
+:class:`~repro.pipeline.scheduler.MultiModelScheduler`; the public entry
+point is ``CloudEvalBenchmark.evaluate_model`` with ``shards > 1``.
+"""
 
 from __future__ import annotations
 
 import itertools
+import json
+import shutil
+from pathlib import Path
 
 import pytest
 
+from repro.core import BenchmarkConfig, CloudEvalBenchmark
 from repro.llm.interface import GenerationRequest
 from repro.llm.registry import get_model
 from repro.pipeline import (
     EvaluationPipeline,
+    ModelJob,
+    MultiModelScheduler,
     PipelineCheckpoint,
     ShardPlan,
-    ShardedEvaluationPipeline,
     merge_evaluations,
     shard_checkpoint_path,
 )
 from repro.pipeline.records import ModelEvaluation
 from repro.scoring.compiled import ReferenceStore
 
+#: Shard checkpoint files written by the sharded entry point before it was
+#: folded into the scheduler: gpt-4 (seed 7, calibrated) over nine
+#: small-corpus originals (``PRE_SCHEDULER_PROBLEMS``), ``shards=3,
+#: batch_size=2``, stopped after four streamed records — shard 0
+#: complete, shard 1 two of three, shard 2 never started.
+PRE_SCHEDULER_SHARDS = Path(__file__).parent / "data" / "pre_scheduler_shards"
+PRE_SCHEDULER_PROBLEMS = slice(27, 36)
+
 
 def _requests(problems):
     return [GenerationRequest(problem=p) for p in problems]
+
+
+def _benchmark(dataset, **config) -> CloudEvalBenchmark:
+    return CloudEvalBenchmark(dataset, BenchmarkConfig(seed=7, **config))
+
+
+def _truth(dataset, model_name, problems) -> ModelEvaluation:
+    """The unsharded evaluation — the bit-identity baseline."""
+
+    return _benchmark(dataset).evaluate_model(model_name, problems=problems)
+
+
+def _shard_files(directory: Path) -> list[str]:
+    return sorted(p.name for p in directory.iterdir() if not p.name.endswith(".lock"))
 
 
 # ---------------------------------------------------------------------------
@@ -60,35 +92,37 @@ def test_shard_checkpoint_path_is_stable_and_bounded(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Streaming scheduler
+# Streaming through the scheduler
 # ---------------------------------------------------------------------------
 
 def test_sharded_run_matches_unsharded(small_original_problems):
     problems = list(small_original_problems)[:20]
-    truth = EvaluationPipeline(get_model("gpt-4"), store=ReferenceStore()).run(_requests(problems))
-    with ShardedEvaluationPipeline(
-        get_model("gpt-4"), shards=4, store=ReferenceStore(), batch_size=3
-    ) as sharded:
-        evaluation = sharded.run(_requests(problems))
+    truth = _truth(small_original_problems, "gpt-4", problems)
+    evaluation = _benchmark(small_original_problems, shards=4, batch_size=3).evaluate_model(
+        "gpt-4", problems=problems
+    )
     assert evaluation.records == truth.records
     assert evaluation.model_name == truth.model_name
 
 
 def test_sharded_streaming_preserves_request_order(small_original_problems):
     problems = list(small_original_problems)[:15]
-    with ShardedEvaluationPipeline(
-        get_model("gpt-3.5"), shards=3, store=ReferenceStore(), batch_size=2
-    ) as sharded:
-        streamed = list(sharded.run_iter(_requests(problems)))
-    assert [r.problem_id for r in streamed] == [p.problem_id for p in problems]
+    with MultiModelScheduler(
+        [ModelJob(get_model("gpt-3.5"), _requests(problems))],
+        shards=3,
+        store=ReferenceStore(),
+        batch_size=2,
+    ) as scheduler:
+        streamed = list(scheduler.run_iter())
+    assert {name for name, _record in streamed} == {"gpt-3.5"}
+    assert [r.problem_id for _name, r in streamed] == [p.problem_id for p in problems]
 
 
-def test_sharded_rejects_checkpoint_instances(tmp_path):
+def test_sharded_rejects_checkpoint_instances(tmp_path, small_original_problems):
+    problems = list(small_original_problems)[:2]
     with pytest.raises(TypeError, match="base"):
-        ShardedEvaluationPipeline(
-            get_model("gpt-4"),
-            shards=2,
-            checkpoint=PipelineCheckpoint(tmp_path / "x.jsonl"),
+        _benchmark(small_original_problems, shards=2).evaluate_model(
+            "gpt-4", problems=problems, checkpoint=PipelineCheckpoint(tmp_path / "x.jsonl")
         )
 
 
@@ -99,9 +133,9 @@ def test_producer_error_propagates_to_consumer(small_original_problems):
         def generate(self, problem, shots=0, sample_index=0):
             raise KeyboardInterrupt("user abort")  # not caught by error capture
 
-    with ShardedEvaluationPipeline(Exploding(), shards=2, store=ReferenceStore()) as sharded:
-        with pytest.raises(KeyboardInterrupt, match="user abort"):
-            list(sharded.run_iter(_requests(list(small_original_problems)[:4])))
+    benchmark = _benchmark(small_original_problems, shards=2)
+    with pytest.raises(KeyboardInterrupt, match="user abort"):
+        benchmark.evaluate_model(Exploding(), problems=list(small_original_problems)[:4])
 
 
 # ---------------------------------------------------------------------------
@@ -156,15 +190,14 @@ def test_merge_error_names_the_disagreeing_shard(small_original_problems):
 # Empty shards and planner pass-through
 # ---------------------------------------------------------------------------
 
-def test_empty_run_builds_no_checkpoints(tmp_path):
+def test_empty_run_builds_no_checkpoints(tmp_path, small_original_problems):
     """Zero requests plan to one empty shard, which must be skipped: no
     sub-pipeline, no checkpoint file, an empty evaluation."""
 
     base = tmp_path / "empty.ckpt.jsonl"
-    with ShardedEvaluationPipeline(
-        get_model("gpt-4"), shards=4, store=ReferenceStore(), checkpoint=base
-    ) as sharded:
-        evaluation = sharded.run([])
+    evaluation = _benchmark(small_original_problems, shards=4).evaluate_model(
+        "gpt-4", problems=[], checkpoint=str(base)
+    )
     assert evaluation.records == []
     assert evaluation.model_name == "gpt-4"
     assert list(tmp_path.iterdir()) == []
@@ -173,14 +206,11 @@ def test_empty_run_builds_no_checkpoints(tmp_path):
 def test_cost_planned_shards_match_unsharded(small_original_problems):
     """A cost-balanced plan moves the cut points, not the records."""
 
-    from repro.pipeline import CostPlanner
-
     problems = list(small_original_problems)[:18]
-    truth = EvaluationPipeline(get_model("gpt-4"), store=ReferenceStore()).run(_requests(problems))
-    with ShardedEvaluationPipeline(
-        get_model("gpt-4"), shards=3, planner=CostPlanner(), store=ReferenceStore(), batch_size=4
-    ) as sharded:
-        evaluation = sharded.run(_requests(problems))
+    truth = _truth(small_original_problems, "gpt-4", problems)
+    evaluation = _benchmark(
+        small_original_problems, shards=3, shard_by="cost", batch_size=4
+    ).evaluate_model("gpt-4", problems=problems)
     assert evaluation.records == truth.records
 
 
@@ -193,28 +223,28 @@ def test_killed_sharded_run_resumes_to_identical_evaluation(tmp_path, small_orig
     reproduces the uninterrupted run's ModelEvaluation exactly."""
 
     problems = list(small_original_problems)[:24]
-    requests = _requests(problems)
-    truth = EvaluationPipeline(get_model("gpt-4"), store=ReferenceStore()).run(requests)
+    truth = _truth(small_original_problems, "gpt-4", problems)
+    benchmark = _benchmark(small_original_problems, shards=4, batch_size=3)
+    model, requests = benchmark.requests("gpt-4", problems=problems)
 
     base = tmp_path / "sharded.ckpt.jsonl"
-    first = ShardedEvaluationPipeline(
-        get_model("gpt-4"), shards=4, store=ReferenceStore(), checkpoint=base, batch_size=3
+    first = MultiModelScheduler(
+        [ModelJob(model, requests, checkpoint=base)],
+        shards=4,
+        store=ReferenceStore(),
+        batch_size=3,
     )
     # "Kill" the run: consume part of the stream, then abandon the generator.
-    consumed = list(itertools.islice(first.run_iter(requests), 10))
+    consumed = list(itertools.islice(first.run_iter(), 10))
     first.close()
-    assert [r.problem_id for r in consumed] == [p.problem_id for p in problems[:10]]
+    assert [r.problem_id for _name, r in consumed] == [p.problem_id for p in problems[:10]]
 
     # Some shards checkpointed work, and none checkpointed everything.
     per_shard = [len(PipelineCheckpoint(shard_checkpoint_path(base, i, 4))) for i in range(4)]
     assert sum(per_shard) >= len(consumed)
     assert sum(per_shard) < len(requests)
 
-    resumed = ShardedEvaluationPipeline(
-        get_model("gpt-4"), shards=4, store=ReferenceStore(), checkpoint=base, batch_size=3
-    )
-    evaluation = resumed.run(requests)
-    resumed.close()
+    evaluation = benchmark.evaluate_model("gpt-4", problems=problems, checkpoint=str(base))
     assert evaluation.records == truth.records
 
 
@@ -222,21 +252,71 @@ def test_resume_with_different_executors_still_identical(tmp_path, small_origina
     """A run interrupted under one backend can resume under another."""
 
     problems = list(small_original_problems)[:12]
-    requests = _requests(problems)
-    truth = EvaluationPipeline(get_model("gpt-3.5"), store=ReferenceStore()).run(requests)
+    truth = _truth(small_original_problems, "gpt-3.5", problems)
+    model, requests = _benchmark(small_original_problems).requests("gpt-3.5", problems=problems)
 
     base = tmp_path / "swap.ckpt.jsonl"
-    first = ShardedEvaluationPipeline(
-        get_model("gpt-3.5"), shards=3, executor="thread", max_workers=2,
-        store=ReferenceStore(), checkpoint=base, batch_size=2,
+    first = MultiModelScheduler(
+        [ModelJob(model, requests, checkpoint=base)],
+        shards=3, executor="thread", max_workers=2, store=ReferenceStore(), batch_size=2,
     )
-    list(itertools.islice(first.run_iter(requests), 5))
+    list(itertools.islice(first.run_iter(), 5))
     first.close()
 
-    second = ShardedEvaluationPipeline(
-        get_model("gpt-3.5"), shards=3, executor="async", generate_executor="async",
-        max_workers=4, store=ReferenceStore(), checkpoint=base, batch_size=2,
+    second = _benchmark(
+        small_original_problems, shards=3, executor="async", generate_executor="async",
+        max_workers=4, batch_size=2,
     )
-    evaluation = second.run(requests)
-    second.close()
+    evaluation = second.evaluate_model("gpt-3.5", problems=problems, checkpoint=str(base))
     assert evaluation.records == truth.records
+
+
+def test_resumes_shard_files_written_by_the_removed_sharded_pipeline(
+    tmp_path, small_original_problems
+):
+    """A partial run checkpointed by the old single-model sharded class
+    resumes under ``evaluate_model``: the same shard file names are read
+    and appended to, the checkpointed records are served as stored, and
+    the result equals an uninterrupted unsharded run."""
+
+    for path in PRE_SCHEDULER_SHARDS.iterdir():
+        shutil.copy(path, tmp_path / path.name)
+    before = {path.name: path.read_text() for path in tmp_path.iterdir()}
+    stored = [
+        json.loads(line)
+        for name in sorted(before)
+        for line in before[name].splitlines()
+    ]
+    assert len(stored) == 5
+
+    problems = list(small_original_problems)[PRE_SCHEDULER_PROBLEMS]
+    truth = _truth(small_original_problems, "gpt-4", problems)
+    evaluation = _benchmark(small_original_problems, shards=3, batch_size=2).evaluate_model(
+        "gpt-4", problems=problems, checkpoint=str(tmp_path / "run.ckpt.jsonl")
+    )
+    assert evaluation.records == truth.records
+
+    # Same file names — the missing third shard joins them — and the old
+    # files were appended to, never rewritten.
+    assert _shard_files(tmp_path) == [
+        "run.ckpt.jsonl.shard-00-of-03",
+        "run.ckpt.jsonl.shard-01-of-03",
+        "run.ckpt.jsonl.shard-02-of-03",
+    ]
+    for name, content in before.items():
+        assert (tmp_path / name).read_text().startswith(content)
+    assert [len(PipelineCheckpoint(tmp_path / name)) for name in _shard_files(tmp_path)] == [
+        3,
+        3,
+        3,
+    ]
+
+    # Checkpointed records come back as stored (their measured seconds
+    # included), so none of them was generated again.
+    assert [
+        (record.problem_id, record.generate_seconds, record.score_seconds)
+        for record in evaluation.records[: len(stored)]
+    ] == [
+        (entry["problem_id"], entry["generate_seconds"], entry["score_seconds"])
+        for entry in stored
+    ]

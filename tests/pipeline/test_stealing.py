@@ -149,7 +149,7 @@ def test_steal_leaderboard_identical_across_executors(
 ):
     config = BenchmarkConfig(seed=7, executor=executor, max_workers=3, shards=3)
     result = CloudEvalBenchmark(small_dataset, config).evaluate_models(
-        models=MODELS, problems=steal_problems, steal=True
+        models=MODELS, problems=steal_problems
     )
     for name in MODELS:
         assert result[name].records == steal_truth[name].records
@@ -177,17 +177,6 @@ def test_calibrated_steal_run_is_identical_cold_and_warm(
         assert warm[name].records == steal_truth[name].records
 
 
-def test_steal_false_reproduces_the_static_schedule(
-    small_dataset, steal_problems, steal_truth
-):
-    config = BenchmarkConfig(seed=7, shards=2, steal=False)
-    result = CloudEvalBenchmark(small_dataset, config).evaluate_models(
-        models=MODELS, problems=steal_problems
-    )
-    for name in MODELS:
-        assert result[name].records == steal_truth[name].records
-
-
 def test_killed_stealing_run_resumes_to_identical_result(
     tmp_path, small_dataset, steal_problems, steal_truth
 ):
@@ -209,7 +198,6 @@ def test_killed_stealing_run_resumes_to_identical_result(
         store=ReferenceStore(),
         batch_size=3,
         prefetch_batches=1,
-        steal=True,
         calibration=store,
     )
     consumed = list(itertools.islice(first.run_iter(), 9))
@@ -226,7 +214,7 @@ def test_killed_stealing_run_resumes_to_identical_result(
     assert checkpointed < 2 * len(steal_problems)
 
     resumed = benchmark.evaluate_models(
-        models=MODELS, problems=steal_problems, checkpoint=base, steal=True
+        models=MODELS, problems=steal_problems, checkpoint=base
     )
     for name in MODELS:
         assert resumed[name].records == steal_truth[name].records
@@ -242,7 +230,7 @@ def test_run_iter_streams_stragglers_without_blocking(small_original_problems):
         ModelJob(get_model("gpt-3.5"), _requests(problems)),
     ]
     with MultiModelScheduler(
-        jobs, shards=2, store=ReferenceStore(), batch_size=3, steal=True
+        jobs, shards=2, store=ReferenceStore(), batch_size=3
     ) as scheduler:
         streamed = list(scheduler.run_iter())
     assert len(streamed) == 2 * len(problems)
