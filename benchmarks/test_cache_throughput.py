@@ -39,9 +39,10 @@ from repro.utils.ratelimit import TokenBucket
 MODEL = "gpt-4"
 
 #: The guard: a warm rerun over the unchanged corpus must beat the cold
-#: scoring run end to end by at least this factor (measured ~10-18x; the
-#: warm run pays only prompting, transport replay, extraction and digest
-#: lookups).
+#: scoring run end to end by at least this factor (measured 7.4-7.6x in
+#: three runs on a shared 2-vCPU Xeon; the warm run pays only prompting,
+#: transport replay, extraction and digest lookups, and compiles no
+#: reference).
 MIN_SPEEDUP = 3.0
 
 #: Where the guard leaves the cache for the CI artifact.

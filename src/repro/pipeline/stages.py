@@ -35,6 +35,7 @@ from repro.scoring.compiled import (
     ReferenceStore,
     ScoreTask,
     answer_digest,
+    reference_digest,
     run_score_task,
     score_extracted,
 )
@@ -258,13 +259,21 @@ class ScoreStage:
 
     With a :class:`~repro.scoring.cache.ScoreCache` wired in, a second,
     *persistent* layer sits above the in-run memo: a unique pair whose
-    content-addressed key — (compiled-reference digest, extracted-answer
-    digest, scorer version) — is already in the cache skips scoring
-    entirely, and every freshly scored pair is written back once per
-    batch.  Hits are resolved here in the parent process, so a
-    process-pool executor only ever ships miss envelopes; a cache-served
-    pair reports zero scoring seconds (the truth of this run — the cost
-    was paid by whichever run populated the cache).
+    content-addressed key — (reference digest, extracted-answer digest,
+    scorer version) — is already in the cache skips scoring entirely, and
+    every freshly scored pair is written back once per batch.  The
+    reference digest comes from
+    :func:`~repro.scoring.compiled.reference_digest`, which hashes the
+    problem without compiling it, so a hit never compiles a reference.
+    Hits are resolved here in the parent process, so a process-pool
+    executor only ever ships miss envelopes; a cache-served pair reports
+    zero scoring seconds (the truth of this run — the cost was paid by
+    whichever run populated the cache).
+
+    Only the misses need a compiled reference.  The in-process path gets
+    it from the store, compiling each distinct reference text once per
+    process.  The picklable path ships whatever the store already holds
+    and otherwise leaves the compile to the worker.
     """
 
     name = "score"
@@ -295,9 +304,8 @@ class ScoreStage:
             key = (item.request.problem.problem_id, extracted)
             if key not in self._memo and key not in pending:
                 if self.cache is not None:
-                    compiled = self.store.get(item.request.problem)
                     card = self.cache.get(
-                        compiled.digest,
+                        reference_digest(item.request.problem),
                         answer_digest(extracted),
                         self.run_unit_tests,
                         scope=item.model_name,
@@ -343,7 +351,7 @@ class ScoreStage:
             if self.cache is not None:
                 self.cache.put_batch(
                     (
-                        self.store.get(problem).digest,
+                        reference_digest(problem),
                         answer_digest(extracted),
                         self._memo[key][0],
                         self.run_unit_tests,

@@ -28,6 +28,7 @@ from repro.scoring.compiled import (
     answer_digest,
     compile_reference,
     get_compiled_reference,
+    reference_digest,
     score_answer_compiled,
     score_batch,
 )
@@ -51,6 +52,7 @@ __all__ = [
     "get_compiled_reference",
     "key_value_exact_match",
     "key_value_wildcard_match",
+    "reference_digest",
     "score_answer",
     "score_answer_compiled",
     "score_answer_legacy",

@@ -12,10 +12,12 @@ content-addressed key:
 ``(compiled-reference digest, extracted-answer digest, scorer version,
 unit-tests flag)``
 
-* The **reference digest** (:attr:`~repro.scoring.compiled.CompiledReference.digest`)
-  covers everything reference-side that a metric can see: the problem id,
-  the labeled reference YAML, and the serialised unit-test program.  Two
-  problems that differ in any scored input can never share an entry.
+* The **reference digest** (:func:`~repro.scoring.compiled.reference_digest`,
+  equal to :attr:`~repro.scoring.compiled.CompiledReference.digest` but
+  computed without compiling the reference) covers everything
+  reference-side that a metric can see: the problem id, the labeled
+  reference YAML, and the serialised unit-test program.  Two problems
+  that differ in any scored input can never share an entry.
 * The **answer digest** (:func:`~repro.scoring.compiled.answer_digest`)
   is taken over the *extracted* YAML — the post-processed text every
   metric operates on — so prose-wrapped variants of the same answer

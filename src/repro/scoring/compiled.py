@@ -8,12 +8,15 @@ tree — on *every* :func:`~repro.scoring.aggregate.score_answer` call.  At
 benchmark scale (12 models x 1011 problems x multi-sample sweeps) that is
 tens of thousands of redundant YAML parses.
 
-This module precomputes those artifacts once per problem into a
-:class:`CompiledReference` (cached on the :class:`~repro.dataset.problem.Problem`
-instance and optionally in a :class:`ReferenceStore`), scores answers
-against the compiled form, and provides :func:`score_batch` — the batch
-entry point that additionally dedupes identical ``(problem_id, response)``
-pairs and can fan work out over a thread or process pool.
+This module precomputes those artifacts once per distinct reference text
+into a :class:`CompiledReference` (cached on the
+:class:`~repro.dataset.problem.Problem` instance and optionally in a
+:class:`ReferenceStore`), scores answers against the compiled form, and
+provides :func:`score_batch` — the batch entry point that additionally
+dedupes identical ``(problem_id, response)`` pairs and can fan work out
+over a thread or process pool.  Score-cache keys come from
+:func:`reference_digest`, which needs no compilation, so a reference is
+compiled only when one of its answers misses the cache.
 
 The compiled path is numerically identical to the legacy string path; the
 equivalence is asserted over the full dataset by
@@ -22,6 +25,7 @@ equivalence is asserted over the full dataset by
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
@@ -56,6 +60,7 @@ __all__ = [
     "compile_reference",
     "get_compiled_reference",
     "peek_compiled_reference",
+    "reference_digest",
     "score_answer_compiled",
     "score_extracted",
     "score_batch",
@@ -68,6 +73,30 @@ __all__ = [
 #: ``object.__setattr__``; the artifact is derived purely from immutable
 #: fields, so this does not break value semantics.
 _CACHE_ATTR = "_compiled_reference"
+
+#: Attribute used to memoise :func:`reference_digest` on the Problem
+#: instance, under the same discipline as :data:`_CACHE_ATTR`.
+_DIGEST_ATTR = "_reference_digest"
+
+#: The first compiled reference built in this process for each reference
+#: text.  Every content artifact depends only on the text, so a later
+#: problem with the same text reuses them (see :func:`get_compiled_reference`).
+_COMPILED_BY_TEXT: dict[str, "CompiledReference"] = {}
+
+
+def _digest_of(problem_id: str, reference_yaml: str, unit_test: UnitTestProgram) -> str:
+    """The reference digest: SHA-256 of the reference-side scoring inputs."""
+
+    payload = json.dumps(
+        {
+            "problem_id": problem_id,
+            "reference_yaml": reference_yaml,
+            "unit_test": unit_test.to_dict(),
+        },
+        sort_keys=True,
+        ensure_ascii=False,
+    )
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -122,18 +151,25 @@ class CompiledReference:
 
         cached = self.__dict__.get("_digest")
         if cached is None:
-            payload = json.dumps(
-                {
-                    "problem_id": self.problem_id,
-                    "reference_yaml": self.reference_yaml,
-                    "unit_test": self.unit_test.to_dict(),
-                },
-                sort_keys=True,
-                ensure_ascii=False,
-            )
-            cached = hashlib.sha256(payload.encode("utf-8")).hexdigest()
+            cached = _digest_of(self.problem_id, self.reference_yaml, self.unit_test)
             object.__setattr__(self, "_digest", cached)
         return cached
+
+
+def reference_digest(problem: Problem) -> str:
+    """``CompiledReference.digest`` of ``problem``, without compiling it.
+
+    Both hash the same payload, so a score-cache key built from either is
+    the same key.  Lookups use this one: a cache hit then costs a hash,
+    never a reference compile.  The value is memoised on the ``Problem``
+    instance and, like the compiled reference, left out of its pickles.
+    """
+
+    cached = problem.__dict__.get(_DIGEST_ATTR)
+    if cached is None:
+        cached = _digest_of(problem.problem_id, problem.reference_yaml, problem.unit_test)
+        object.__setattr__(problem, _DIGEST_ATTR, cached)
+    return cached
 
 
 def answer_digest(extracted: str) -> str:
@@ -176,12 +212,21 @@ def get_compiled_reference(problem: Problem) -> CompiledReference:
 
     The result is cached on the ``Problem`` instance, so every consumer of
     the same dataset (benchmarks, analysis, tests) shares one compilation.
+    Across problems, a process compiles each distinct reference text once:
+    a later problem with the same text gets the first compilation with its
+    own ``problem_id`` and ``unit_test``, sharing every content artifact
+    (plain and normalized text, lines, tokens, n-grams, documents and the
+    labeled tree), which scoring only ever reads.
     """
 
     cached = problem.__dict__.get(_CACHE_ATTR)
     if cached is not None:
         return cached
-    compiled = compile_reference(problem)
+    prior = _COMPILED_BY_TEXT.get(problem.reference_yaml)
+    if prior is None:
+        compiled = _COMPILED_BY_TEXT[problem.reference_yaml] = compile_reference(problem)
+    else:
+        compiled = dataclasses.replace(prior, problem_id=problem.problem_id, unit_test=problem.unit_test)
     object.__setattr__(problem, _CACHE_ATTR, compiled)
     return compiled
 
@@ -201,10 +246,12 @@ def peek_compiled_reference(problem: Problem) -> CompiledReference | None:
 class ReferenceStore:
     """A ProblemSet-level store of compiled references.
 
-    The instance-level cache on ``Problem`` already makes compilation a
-    once-per-problem cost; the store adds an explicit, inspectable handle —
-    benchmarks share one across models, and it can be precompiled up front
-    to move every compile out of the scoring loop.
+    :func:`get_compiled_reference` already makes compilation a cost paid
+    once per distinct reference text in a process; the store adds an
+    explicit, inspectable handle — benchmarks share one across models, and
+    it can be precompiled up front to move every compile out of the
+    scoring loop.  Score-cache lookups never go through it: they key on
+    :func:`reference_digest`, so only a miss asks the store to compile.
     """
 
     def __init__(self) -> None:
@@ -377,7 +424,8 @@ def score_batch(
     ----------
     store:
         Optional :class:`ReferenceStore`; compiled references are shared
-        through the per-problem instance cache either way.
+        through the per-problem instance cache and the per-text map of
+        :func:`get_compiled_reference` either way.
     max_workers:
         With a value > 1, unique pairs are fanned out over a pool;
         otherwise scoring is sequential (deterministic by construction in
@@ -391,14 +439,16 @@ def score_batch(
         already cached skip scoring entirely (and never reach the pool),
         and every freshly scored pair is written back once — so a repeat
         of this batch in a later run, or by another tenant sharing the
-        cache file, is served in O(1) per pair.
+        cache file, is served in O(1) per pair.  The key's reference half
+        is :func:`reference_digest`, so a hit never compiles a reference;
+        only the misses are compiled.
     """
 
     pairs = [(problem, response) for problem, response in items]
     lookup = store.get if store is not None else get_compiled_reference
 
     keys: list[tuple[str, str]] = []
-    unique: dict[tuple[str, str], tuple[CompiledReference, str, bool]] = {}
+    unique: dict[tuple[str, str], Problem] = {}
     cached: dict[tuple[str, str], ScoreCard] = {}
     for problem, response in pairs:
         extracted = extract_yaml(response)
@@ -406,16 +456,15 @@ def score_batch(
         keys.append(key)
         if key in unique or key in cached:
             continue
-        compiled = lookup(problem)
         if cache is not None:
-            hit = cache.get(compiled.digest, answer_digest(extracted), run_unit_tests)
+            hit = cache.get(reference_digest(problem), answer_digest(extracted), run_unit_tests)
             if hit is not None:
                 cached[key] = hit
                 continue
-        unique[key] = (compiled, extracted, run_unit_tests)
+        unique[key] = problem
 
     unique_keys = list(unique)
-    tasks = [unique[key] for key in unique_keys]
+    tasks = [(lookup(unique[key]), key[1], run_unit_tests) for key in unique_keys]
 
     if max_workers and max_workers > 1 and len(tasks) > 1:
         if executor == "thread":
@@ -434,8 +483,8 @@ def score_batch(
         # Write every freshly scored unique pair back — one durable append
         # for the whole batch.
         cache.put_batch(
-            (compiled.digest, answer_digest(extracted), card, unit_tests)
-            for (compiled, extracted, unit_tests), card in zip(tasks, cards)
+            (reference_digest(unique[key]), answer_digest(key[1]), card, run_unit_tests)
+            for key, card in zip(unique_keys, cards)
         )
 
     by_key = dict(zip(unique_keys, cards))

@@ -165,7 +165,9 @@ def parse_labeled_yaml(text: str) -> LabeledNode:
         return [_build_node(n, labels, constructor) for n in nodes]
 
     try:
-        trees = parse_yaml(text, build)
+        # Labels attach by node line, and libyaml puts an empty node at the
+        # end of a text with no final line break on a line of its own.
+        trees = parse_yaml(text, build) if text.endswith("\n") else build(yaml.SafeLoader)
     except yaml.YAMLError as exc:
         raise YamlParseError(f"invalid labeled reference YAML: {exc}") from exc
     if not trees:

@@ -57,17 +57,21 @@ def _libyaml_reads_like_python(text: str) -> bool:
       accepts it;
     * a byte-order mark after the start of the text: libyaml skips one at
       the start of any line, the pure-Python reader rejects it;
-    * no line break at the end: libyaml moves the stream end onto a new
-      line, so an empty node there (a trailing ``---``) gets another line;
     * deep nesting: libyaml composes recursively in C and crashes the
       process past some ten thousand levels, where the pure-Python
       composer raises ``RecursionError`` after a few hundred.  Every
       collection opens with its own ``[``, ``{`` or first ``-``, or with
       the ``?`` or ``:`` of its first key, so these characters bound the
       depth.
+
+    A text with no line break at the end gets the same documents from
+    both parsers, but libyaml moves its stream end onto a new line, so an
+    empty node there (a trailing ``---``) gets another line.  Only node
+    lines see that, so :func:`~repro.yamlkit.labels.parse_labeled_yaml`
+    alone turns such texts away.
     """
 
-    if "\t" in text or "\ufeff" in text or not text.endswith("\n"):
+    if "\t" in text or "\ufeff" in text:
         return False
     return sum(text.count(indicator) for indicator in "[{-?:") <= _MAX_LIBYAML_NESTING
 

@@ -100,23 +100,27 @@ def test_problem_set_dict_round_trip():
 
 def test_problem_pickles_without_instance_caches(small_original_problems):
     """Regression: derived artifacts cached on the instance (compiled
-    reference, image list) must not ride along in pickles — process-pool
-    task envelopes depend on the problem staying small."""
+    reference, reference digest, image list) must not ride along in
+    pickles — process-pool task envelopes depend on the problem staying
+    small."""
 
     import pickle
 
     from repro.evalcluster.simulation import problem_images
-    from repro.scoring.compiled import _CACHE_ATTR, get_compiled_reference
+    from repro.scoring.compiled import _CACHE_ATTR, _DIGEST_ATTR, get_compiled_reference, reference_digest
 
     problem = list(small_original_problems)[0]
     bare_size = len(pickle.dumps(problem))
 
-    get_compiled_reference(problem)  # populate both instance caches
+    get_compiled_reference(problem)  # populate every instance cache
+    reference_digest(problem)
     problem_images(problem)
     assert _CACHE_ATTR in problem.__dict__
+    assert _DIGEST_ATTR in problem.__dict__
 
     data = pickle.dumps(problem)
     assert len(data) == bare_size  # caches stripped, fields only
     clone = pickle.loads(data)
     assert _CACHE_ATTR not in clone.__dict__
+    assert _DIGEST_ATTR not in clone.__dict__
     assert clone == problem

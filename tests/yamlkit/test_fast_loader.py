@@ -105,6 +105,31 @@ def test_registry_answers_parse_or_fail_identically(monkeypatch):
     assert all(_c_parser_rejects(text) for text in failed)
 
 
+#: Endings that leave a text without a final line break: the bare text and
+#: a trailing document start, document start and space, or document end.
+UNTERMINATED_ENDINGS = ("", "\n---", "\n--- ", "\n...")
+
+
+def test_registry_answers_without_a_final_newline_parse_identically(monkeypatch):
+    problems = list(build_dataset(seed=7))
+    rng = random.Random(23)
+    answers = [
+        extract_yaml(get_model(name, seed=7).generate(problem))
+        for name in available_models()
+        for problem in rng.sample(problems, 25)
+    ]
+    texts = [answer.rstrip("\n") + ending for answer in answers for ending in UNTERMINATED_ENDINGS]
+    assert not any(text.endswith("\n") for text in texts)
+    results = _outcomes(monkeypatch, load_all_documents, texts)
+    assert results["libyaml"] == results["python"]
+
+    # libyaml itself read most of them; the rest went to the fallback.
+    read_by_libyaml = [
+        text for text in texts if parsing._libyaml_reads_like_python(text) and not _c_parser_rejects(text)
+    ]
+    assert len(read_by_libyaml) > len(texts) // 2
+
+
 def _perturbations(reference: str) -> list[str]:
     lines = reference.splitlines(keepends=True)
     truncated = ["".join(lines[:cut]) for cut in range(1, len(lines) + 1)]
