@@ -30,11 +30,13 @@ workers:
   problems the executor published.
 * :class:`FleetExecutor` — the :class:`~repro.pipeline.executors.Executor`
   backend.  It either self-hosts (in-process server thread + ``N``
-  spawned worker subprocesses) or attaches to an external store, and its
-  ``map`` runs the coordinator loop: submit payloads + jobs, observe
+  spawned worker subprocesses) or attaches to an external store.  Its
+  ``submit`` stores payloads and queues jobs, and the returned
+  :class:`FleetFuture`'s ``result()`` runs the coordinator loop: observe
   claims and heartbeats (stamping leases on the *master's* monotonic
   clock — worker clocks are never compared), reap expired leases through
   :meth:`Master.reap_expired`, and collect results in task order.
+  ``map`` is ``submit(...).result()``.
 
 Timing flows back with the work: per-record scoring seconds are measured
 inside the worker (``run_timed_score_task`` rides along in the pickled
@@ -86,7 +88,7 @@ import sys
 import threading
 import time
 from pathlib import Path
-from typing import Any, Callable, Sequence, TypeVar
+from typing import Any, Callable, Generic, Sequence, TypeVar
 
 from repro.evalcluster.calibration import Ewma
 from repro.evalcluster.kvstore import JournaledStore, RedisLikeStore
@@ -108,6 +110,7 @@ __all__ = [
     "DistributedTokenBucket",
     "FleetWorker",
     "FleetExecutor",
+    "FleetFuture",
     "fleet_pacer",
     "run_worker",
     "worker_injector",
@@ -1248,7 +1251,7 @@ class FleetExecutor:
 
     Two deployment shapes:
 
-    * **Self-hosted** (``num_workers=N``): the first ``map`` starts an
+    * **Self-hosted** (``num_workers=N``): the first ``submit`` starts an
       in-process :class:`StoreServer` on an ephemeral port and spawns
       ``N`` worker subprocesses (``python -m repro.evalcluster.fleet
       worker``); ``close()`` raises the stop flag and reaps them.
@@ -1256,16 +1259,22 @@ class FleetExecutor:
       already serving and workers were started by hand (possibly on
       other machines); ``close()`` leaves both alone.
 
-    ``map`` submits tasks in contiguous *chunks* — one fleet job carries
+    ``submit`` queues tasks in contiguous *chunks* — one fleet job carries
     ``chunk_size`` tasks (auto-sized to roughly four jobs per worker, the
     same amortisation :class:`~repro.pipeline.executors.ProcessExecutor`
     uses) so the handful of store round-trips a job costs is paid once
-    per chunk, not once per task.  Then a loop
+    per chunk, not once per task — and returns a :class:`FleetFuture`.
+    Its ``result()`` runs the one coordinator loop, which
     blocks on completion events while observing claims and heartbeats —
     every lease is stamped and renewed on *this* process's monotonic
     clock at the moment the observation arrives, so worker clock skew
     cannot corrupt lease arithmetic — and reaps expired leases through
-    the master's re-enqueue-once protocol.  Results return in task
+    the master's re-enqueue-once protocol.  The loop keeps one set of
+    outstanding jobs for the whole executor, so while it waits for one
+    submission it also collects the jobs of any other still in flight
+    and parks their rows until their own ``result()`` takes them: the
+    offloaded pipeline keeps two batches on the fleet this way.  ``map``
+    is ``submit(fn, tasks).result()``.  Results return in task
     order; identical inputs produce identical ScoreCards regardless of
     which worker ran them, so the fleet is bit-identical to the serial
     backend.
@@ -1373,13 +1382,17 @@ class FleetExecutor:
         self._connect: tuple[str, int] | None = None
         self._seen_claims: dict[str, Any] = {}
         self._seen_beats: dict[str, int] = {}
+        #: Submitted jobs without a collected row, across every submission.
+        self._outstanding: set[str] = set()
+        #: Collected rows no future has taken yet.
+        self._rows: dict[str, dict[str, Any]] = {}
 
     # -- lifecycle -----------------------------------------------------------
     def warm(self, problems: Sequence[Any]) -> "FleetExecutor":
         """Precompile ``problems``' references in every worker process.
 
-        Must be called before the first ``map`` (workers read the warmup
-        key at startup); returns self for chaining.
+        Must be called before the first ``submit`` or ``map`` (workers
+        read the warmup key at startup); returns self for chaining.
         """
 
         if self._store is not None:
@@ -1465,6 +1478,8 @@ class FleetExecutor:
             self._master = None
             self._seen_claims.clear()
             self._seen_beats.clear()
+            self._outstanding.clear()
+            self._rows.clear()
             self._flush_events()
 
     def __enter__(self) -> "FleetExecutor":
@@ -1475,7 +1490,7 @@ class FleetExecutor:
 
     # -- observability -------------------------------------------------------
     def stats(self) -> MasterStats | None:
-        """The master's queue/fleet snapshot (None before the first map)."""
+        """The master's queue/fleet snapshot (None before the first submit)."""
 
         with self._lock:
             if self._master is None:
@@ -1541,10 +1556,20 @@ class FleetExecutor:
                 return 1
         return max(1, task_count // (fleet_size * 4))
 
-    def map(self, fn: Callable[[T], R], tasks: Sequence[T]) -> list[R]:
+    def submit(self, fn: Callable[[T], R], tasks: Sequence[T]) -> "FleetFuture[R]":
+        """Queue ``fn`` over ``tasks`` on the fleet and return at once.
+
+        The tasks are cut into chunks; each chunk's payload is stored and
+        its job queued.  The returned :class:`FleetFuture` gives the
+        results in task order.  Submissions may overlap: whichever
+        ``result()`` runs the coordinator loop also collects, reaps and
+        degrades the jobs of every other outstanding submission, so a
+        worker that finishes one submission claims the next at once.
+        """
+
         tasks = list(tasks)
         if not tasks:
-            return []
+            return FleetFuture(self, [], [])
         with self._lock:
             self._ensure_started()
             assert self._store is not None and self._master is not None
@@ -1570,44 +1595,48 @@ class FleetExecutor:
             # Payloads are durably in the store before any id is queued, so
             # no worker can ever claim an id whose payload is not there yet.
             self._master.submit(jobs)
+            self._outstanding.update(job_ids)
             self._log_event("submit", count=len(jobs), tasks=len(tasks), chunk=size)
-            rows = self._drive(set(job_ids))
+        return FleetFuture(self, job_ids, chunks)
+
+    def map(self, fn: Callable[[T], R], tasks: Sequence[T]) -> list[R]:
+        return self.submit(fn, tasks).result()
+
+    def _take_rows(self, job_ids: list[str]) -> list[dict[str, Any]]:
+        """Drive the fleet until every job in ``job_ids`` has a row, then
+        hand those rows out — each row leaves the executor exactly once."""
+
+        with self._lock:
+            for job_id in job_ids:
+                if job_id not in self._rows and job_id not in self._outstanding:
+                    raise RuntimeError(
+                        f"fleet job {job_id} is not outstanding (its result was "
+                        f"taken, or the executor was closed since it was submitted)"
+                    )
+            self._drive(set(job_ids))
             self._flush_events()
-        results: list[R] = []
-        for job_id, chunk in zip(job_ids, chunks):
-            row = rows[job_id]
-            if row["passed"]:
-                results.extend(row["result"])
-            elif self.degrade and row.get("degraded"):
-                # The infrastructure lost this job (abandoned or
-                # quarantined): fill its slots with typed markers so the
-                # run terminates with a result per task.  The reason is
-                # deterministic given the fault plan.
-                reason = str(row.get("result") or "fleet job degraded")
-                results.extend(DegradedResult(reason=reason) for _ in chunk)  # type: ignore[misc]
-            else:
-                raise RuntimeError(f"fleet job {job_id} failed: {row['result']}")
-        return results
+            return [self._rows.pop(job_id) for job_id in job_ids]
 
     # -- the coordinator loop ------------------------------------------------
-    def _drive(self, outstanding: set[str]) -> dict[str, dict[str, Any]]:
-        """Block until every outstanding job has a result row.
+    def _drive(self, wanted: set[str]) -> None:
+        """Block until every job in ``wanted`` has a collected row.
 
-        One loop: drain completion events (the hot path), and — at most
-        once per poll interval — observe claims and heartbeats, reap
-        expired leases, and verify the managed workers still exist.
+        One loop serves every outstanding submission: drain completion
+        events (the hot path) — a row for a job another future waits on
+        is parked in ``_rows`` for it — and, at most once per poll
+        interval, observe claims and heartbeats, reap expired leases, and
+        verify the managed workers still exist.
         """
 
         assert self._store is not None and self._master is not None
-        rows: dict[str, dict[str, Any]] = {}
         last_sync = -1.0
-        while outstanding:
+        while not self._rows.keys() >= wanted:
             job_id = self._store.blpop(DONE_KEY, self.poll_seconds)
             now = time.monotonic()
-            if job_id is not None and job_id in outstanding:
+            if job_id is not None and job_id in self._outstanding:
                 row = self._store.hget(Master.RESULTS_KEY, job_id)
                 if row is not None:
-                    self._collect(job_id, row, rows, outstanding)
+                    self._collect(job_id, row)
             if now - last_sync >= self.poll_seconds:
                 last_sync = now
                 spec = self._injector.fire("coordinator.sync")
@@ -1615,17 +1644,16 @@ class FleetExecutor:
                     self._restart_server()
                 else:
                     self._injector.sleep_if_delay(spec)
-                self._sync_claims(now, outstanding)
+                self._sync_claims(now)
                 self._sync_heartbeats(now)
-                self._reap(now, rows, outstanding)
+                self._reap(now)
                 self._drain_faults()
-                self._check_workers(outstanding)
-        # One last observation pass: a short map can drain entirely within a
-        # single sync window, and stats()/the leaderboard footer should still
-        # see every worker that participated.
+                self._check_workers()
+        # One last observation pass: a short submission can drain entirely
+        # within a single sync window, and stats()/the leaderboard footer
+        # should still see every worker that participated.
         self._sync_heartbeats(time.monotonic())
         self._drain_faults()
-        return rows
 
     def _restart_server(self) -> None:
         """Injected ``restart`` fault: kill the self-hosted store and
@@ -1650,16 +1678,10 @@ class FleetExecutor:
         replayed = getattr(self._server.store, "replayed_ops", None)
         self._log_event("restart", port=port, replayed=replayed)
 
-    def _collect(
-        self,
-        job_id: str,
-        row: dict[str, Any],
-        rows: dict[str, dict[str, Any]],
-        outstanding: set[str],
-    ) -> None:
+    def _collect(self, job_id: str, row: dict[str, Any]) -> None:
         assert self._store is not None and self._master is not None
-        rows[job_id] = row
-        outstanding.discard(job_id)
+        self._rows[job_id] = row
+        self._outstanding.discard(job_id)
         self._master.note_completed(job_id)
         self._store.hdel(CLAIMS_KEY, job_id)
         self._seen_claims.pop(job_id, None)
@@ -1667,10 +1689,10 @@ class FleetExecutor:
         self._store.delete(_STRIKES_PREFIX + job_id)
         self._log_event("done", job=job_id, worker=row.get("worker"), passed=row.get("passed"))
 
-    def _sync_claims(self, now: float, outstanding: set[str]) -> None:
+    def _sync_claims(self, now: float) -> None:
         assert self._store is not None and self._master is not None
         for job_id, value in self._store.hgetall(CLAIMS_KEY).items():
-            if job_id not in outstanding or self._seen_claims.get(job_id) == value:
+            if job_id not in self._outstanding or self._seen_claims.get(job_id) == value:
                 continue
             self._seen_claims[job_id] = value
             worker_id, _sequence = value
@@ -1745,7 +1767,7 @@ class FleetExecutor:
         except (ConnectionError, StoreCommandError):
             return 1
 
-    def _reap(self, now: float, rows: dict[str, dict[str, Any]], outstanding: set[str]) -> None:
+    def _reap(self, now: float) -> None:
         assert self._store is not None and self._master is not None
         if self.lease_seconds is None:
             return
@@ -1762,13 +1784,13 @@ class FleetExecutor:
             self._log_event("requeue", job=job_id)
         # A job reaped twice was reported failed by the master itself; no
         # completion event will ever arrive for it, so collect it here.
-        for job_id in self._master.abandoned_jobs() & outstanding:
+        for job_id in self._master.abandoned_jobs() & self._outstanding:
             row = self._store.hget(Master.RESULTS_KEY, job_id)
             if row is not None:
-                self._collect(job_id, row, rows, outstanding)
+                self._collect(job_id, row)
                 self._log_event("abandon", job=job_id)
 
-    def _check_workers(self, outstanding: set[str]) -> None:
+    def _check_workers(self) -> None:
         """Self-hosted mode: respawn dead workers, fail when all are gone.
 
         A worker process that exited with jobs outstanding (a crash, an
@@ -1789,7 +1811,7 @@ class FleetExecutor:
                 alive.append(proc)
                 continue
             self._log_event("worker-exit", code=proc.returncode)
-            if outstanding and self._respawned < self.respawn_limit:
+            if self._outstanding and self._respawned < self.respawn_limit:
                 self._respawned += 1
                 worker_id = f"worker-{os.getpid()}-r{self._respawned}"
                 alive.append(self._spawn_worker(worker_id))
@@ -1798,8 +1820,45 @@ class FleetExecutor:
         if not self._procs:
             raise RuntimeError(
                 f"all fleet worker processes exited (respawn budget "
-                f"{self.respawn_limit} spent) with {len(outstanding)} jobs outstanding"
+                f"{self.respawn_limit} spent) with {len(self._outstanding)} jobs outstanding"
             )
+
+
+class FleetFuture(Generic[R]):
+    """The pending results of one :meth:`FleetExecutor.submit`.
+
+    ``result()`` blocks until every job of the submission is reported and
+    returns one result per task, in task order.  A job the infrastructure
+    lost fills its slots with
+    :class:`~repro.pipeline.executors.DegradedResult` markers (when the
+    executor degrades); a failure the payload raised is re-raised as
+    :class:`RuntimeError`.  The call takes the rows out of the executor,
+    so it can be made once.
+    """
+
+    def __init__(
+        self, executor: FleetExecutor, job_ids: list[str], chunks: list[list[Any]]
+    ) -> None:
+        self._executor = executor
+        self._job_ids = job_ids
+        self._chunks = chunks
+
+    def result(self) -> list[R]:
+        rows = self._executor._take_rows(self._job_ids) if self._job_ids else []
+        results: list[R] = []
+        for job_id, chunk, row in zip(self._job_ids, self._chunks, rows):
+            if row["passed"]:
+                results.extend(row["result"])
+            elif self._executor.degrade and row.get("degraded"):
+                # The infrastructure lost this job (abandoned or
+                # quarantined): fill its slots with typed markers so the
+                # run terminates with a result per task.  The reason is
+                # deterministic given the fault plan.
+                reason = str(row.get("result") or "fleet job degraded")
+                results.extend(DegradedResult(reason=reason) for _ in chunk)  # type: ignore[misc]
+            else:
+                raise RuntimeError(f"fleet job {job_id} failed: {row['result']}")
+        return results
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -18,8 +18,11 @@ selection without changing a single score.
 from __future__ import annotations
 
 import time
+from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from functools import partial
+from itertools import islice
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from repro.llm.interface import GenerationRequest, Model, QueryModule
 from repro.pipeline.checkpoint import PipelineCheckpoint
@@ -46,6 +49,11 @@ __all__ = ["EvaluationPipeline", "PreparedBatch"]
 DEFAULT_BATCH_SIZE = 32
 
 
+#: Batches :meth:`EvaluationPipeline.run_iter` keeps started at once: while
+#: the older is finished, the newer already waits on the executor.
+IN_FLIGHT = 2
+
+
 @dataclass
 class PreparedBatch:
     """A batch that has cleared the generation-side stages but not scoring.
@@ -55,12 +63,18 @@ class PreparedBatch:
     stages burn CPU — and this split point is what lets the sharded
     scheduler run them concurrently: one thread prepares batch *k+1* while
     another finishes batch *k*.
+
+    A batch from :meth:`EvaluationPipeline.start_batch` is only started:
+    ``pending`` then holds what completes its generation-side stages —
+    on the offload chain, waiting for the batch's fleet jobs — and
+    :meth:`EvaluationPipeline.finish_batch` calls it first.
     """
 
     requests: list[GenerationRequest]
     cached: dict[int, EvaluationRecord] = field(default_factory=dict)
     todo: list[int] = field(default_factory=list)
     items: list[WorkItem] = field(default_factory=list)
+    pending: Callable[[], None] | None = None
 
 
 class EvaluationPipeline:
@@ -188,19 +202,34 @@ class EvaluationPipeline:
         already in the checkpoint are served from it without touching the
         model or the scorer; everything else flows through the stages and
         is checkpointed the moment its record exists.
+
+        On a chain with a submitting stage (the offload chain) up to
+        :data:`IN_FLIGHT` batches are started at once and the older is
+        finished first, which keeps two batches on the fleet: a worker
+        that finishes batch *k* claims batch *k+1* at once.  When the
+        consumer closes the stream early, a batch already on the executor
+        is still finished and checkpointed, but not yielded.  Any other
+        chain has nothing to start ahead, so it takes one batch at a time
+        and reads its requests, calls its model and writes its checkpoint
+        in the order of a plain batch loop.
         """
 
-        batch: list[GenerationRequest] = []
-        for request in requests:
-            batch.append(request)
-            if len(batch) >= self.batch_size:
-                yield from self._run_batch(batch)
-                batch = []
-        if batch:
-            yield from self._run_batch(batch)
-
-    def _run_batch(self, requests: list[GenerationRequest]) -> Iterator[EvaluationRecord]:
-        yield from self.finish_batch(self.prepare_batch(requests))
+        depth = IN_FLIGHT if self._starts_early() else 1
+        in_flight: deque[PreparedBatch] = deque()
+        try:
+            for batch in _batches(requests, self.batch_size):
+                in_flight.append(self.start_batch(batch))
+                if len(in_flight) == depth:
+                    yield from self.finish_batch(in_flight.popleft())
+            while in_flight:
+                yield from self.finish_batch(in_flight.popleft())
+        except GeneratorExit:
+            # Its jobs must not be orphaned on the executor, and a resume
+            # must not query it again.
+            for prepared in in_flight:
+                for _ in self.finish_batch(prepared):
+                    pass
+            raise
 
     # -- the two halves of a batch (the sharded scheduler's overlap seam) --
     def _front_back_stages(self) -> tuple[list[Stage], list[Stage]]:
@@ -211,40 +240,97 @@ class EvaluationPipeline:
                 return list(self.stages[:position]), list(self.stages[position:])
         return list(self.stages), []
 
-    def prepare_batch(self, requests: list[GenerationRequest]) -> PreparedBatch:
-        """Serve what the checkpoint has and run the generation-side stages
-        (everything before scoring) for the rest."""
+    def _starts_early(self) -> bool:
+        """Whether a front stage hands its batch to the executor and
+        returns (``submit``, the fleet offload stage) — the only work
+        :meth:`start_batch` does ahead of finishing."""
+
+        front, _ = self._front_back_stages()
+        return any(hasattr(stage, "submit") for stage in front)
+
+    def start_batch(self, requests: list[GenerationRequest]) -> PreparedBatch:
+        """Start a batch: the first half of :meth:`prepare_batch`.
+
+        On a chain with a submitting stage this serves checkpoint hits
+        and runs the front stages for the rest, up to and including that
+        stage, which hands the batch to the executor and returns — so the
+        executor works on it while the caller finishes an older batch.  A
+        chain without one does no work here: the whole batch runs when it
+        is finished.
+        """
 
         prepared = PreparedBatch(requests=list(requests))
+        if self._starts_early():
+            prepared.pending = self._start(prepared)
+        else:
+            prepared.pending = lambda: self._start(prepared)()
+        return prepared
+
+    def prepare_batch(self, requests: list[GenerationRequest]) -> PreparedBatch:
+        """Serve what the checkpoint has and run the generation-side stages
+        (everything before scoring) for the rest: :meth:`start_batch`,
+        then wait for what it started."""
+
+        return self._resolve(self.start_batch(requests))
+
+    def _resolve(self, prepared: PreparedBatch) -> PreparedBatch:
+        if prepared.pending is not None:
+            pending, prepared.pending = prepared.pending, None
+            pending()
+        return prepared
+
+    def _start(self, prepared: PreparedBatch) -> Callable[[], None]:
+        """Serve checkpoint hits and run the front stages up to and
+        including the first submitting one; return what completes them."""
+
         for index, request in enumerate(prepared.requests):
             record = self._cached_record(request)
             if record is not None:
                 prepared.cached[index] = record
             else:
                 prepared.todo.append(index)
+        if not prepared.todo:
+            return lambda: None
+        front, _ = self._front_back_stages()
+        items = [WorkItem(request=prepared.requests[index]) for index in prepared.todo]
+        start = time.perf_counter()
+        for position, stage in enumerate(front):
+            if hasattr(stage, "submit"):
+                completion = stage.submit(items, self.context)
+                return partial(self._complete, prepared, completion, front[position + 1 :], start)
+            items = stage.process(items, self.context)
+        return partial(self._complete, prepared, lambda: items, [], start)
 
-        if prepared.todo:
-            front, _ = self._front_back_stages()
-            items = [WorkItem(request=prepared.requests[index]) for index in prepared.todo]
-            start = time.perf_counter()
-            for stage in front:
-                items = stage.process(items, self.context)
-            # The generation-side stages run (and with the async backend,
-            # overlap) as one batch, so the batch's wall-clock is shared
-            # evenly across its items — the per-request view of a cost the
-            # endpoint only exposes per batch.  An item that already
-            # carries a measurement (the fleet offload stage times each
-            # generation where it ran) keeps its own truth.
-            elapsed = (time.perf_counter() - start) / max(1, len(items))
-            for item in items:
-                if item.generate_seconds == 0.0:
-                    item.generate_seconds = elapsed
-            prepared.items = items
-        return prepared
+    def _complete(
+        self,
+        prepared: PreparedBatch,
+        completion: Callable[[], list[WorkItem]],
+        rest: list[Stage],
+        start: float,
+    ) -> None:
+        items = completion()
+        for stage in rest:
+            items = stage.process(items, self.context)
+        # The generation-side stages run (and with the async backend,
+        # overlap) as one batch, so the batch's wall-clock — from its start
+        # to here — is shared evenly across its items: the per-request view
+        # of a cost the endpoint only exposes per batch.  An item that
+        # already carries a measurement (the fleet offload stage times each
+        # generation where it ran) keeps its own truth.
+        elapsed = (time.perf_counter() - start) / max(1, len(items))
+        for item in items:
+            if item.generate_seconds == 0.0:
+                item.generate_seconds = elapsed
+        prepared.items = items
 
     def finish_batch(self, prepared: PreparedBatch) -> Iterator[EvaluationRecord]:
-        """Run the scoring-side stages, checkpoint, and yield in request order."""
+        """Run the scoring-side stages, checkpoint, and yield in request order.
 
+        A batch that is only started is first resolved: its submitted
+        work is waited for and the front stages after it run.
+        """
+
+        self._resolve(prepared)
         fresh: dict[int, EvaluationRecord] = {}
         if prepared.items:
             _, back = self._front_back_stages()
@@ -310,3 +396,11 @@ class EvaluationPipeline:
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
+
+
+def _batches(requests: Iterable[GenerationRequest], size: int) -> Iterator[list[GenerationRequest]]:
+    """Consecutive batches of ``size`` requests, read as they are needed."""
+
+    iterator = iter(requests)
+    while batch := list(islice(iterator, size)):
+        yield batch

@@ -21,7 +21,8 @@ import os
 import signal
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Protocol, Sequence, runtime_checkable
+from functools import partial
+from typing import TYPE_CHECKING, Any, Callable, Protocol, Sequence, runtime_checkable
 
 from repro.dataset.problem import Problem
 from repro.llm.interface import GenerationRequest, QueryModule
@@ -537,7 +538,8 @@ class FleetGenerationStage:
     :func:`run_generation_task` over the batch.  The coordinator then
     only moves envelopes; N workers generate *and* score concurrently
     while the distributed token bucket keeps the endpoint's global rate
-    limit intact.
+    limit intact.  Through :meth:`submit` the pipeline hands the fleet
+    the next batch before it waits for the current one.
 
     A :class:`~repro.pipeline.executors.DegradedResult` slot (the fleet
     lost that job beyond recovery) degrades exactly like the score
@@ -564,6 +566,19 @@ class FleetGenerationStage:
         self.run_unit_tests = run_unit_tests
 
     def process(self, items: list[WorkItem], context: StageContext) -> list[WorkItem]:
+        return self.submit(items, context)()
+
+    def submit(
+        self, items: list[WorkItem], context: StageContext
+    ) -> Callable[[], list[WorkItem]]:
+        """Hand the batch to the executor and return its completion.
+
+        An executor with ``submit`` (the fleet) starts on the batch now;
+        calling the completion waits for it and fills in ``items``.  Any
+        other executor does all its work in ``map`` when the completion
+        is called, exactly as :meth:`process` always did.
+        """
+
         tasks = [
             GenerationTask(
                 request=item.request,
@@ -574,8 +589,16 @@ class FleetGenerationStage:
             for item in items
         ]
         executor = context.generate_executor or context.executor
-        outcomes = executor.map(run_generation_task, tasks)
-        for item, outcome in zip(items, outcomes):
+        if hasattr(executor, "submit"):
+            outcomes = executor.submit(run_generation_task, tasks).result
+        else:
+            outcomes = partial(executor.map, run_generation_task, tasks)
+        return partial(self._complete, items, outcomes)
+
+    def _complete(
+        self, items: list[WorkItem], outcomes: Callable[[], list[Any]]
+    ) -> list[WorkItem]:
+        for item, outcome in zip(items, outcomes()):
             if isinstance(outcome, DegradedResult):
                 item.model_name = self.spec.name
                 item.extracted = extract_yaml(item.response)

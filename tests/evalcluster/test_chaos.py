@@ -328,7 +328,11 @@ class TestAcceptance:
         contract: a poison problem that kills every worker generating it
         is quarantined into an error-marked zero record, while every
         healthy record — generated *on* the fleet — stays bit-identical
-        to the serial parent-generation run."""
+        to the serial parent-generation run.
+
+        The streamed run keeps its two batches on the fleet at once; it
+        must degrade exactly what a run taking one batch at a time
+        degrades, and report every fleet job once."""
 
         from repro.llm.interface import GenerationRequest
         from repro.llm.registry import calibrate_models, get_model
@@ -341,47 +345,72 @@ class TestAcceptance:
         serial = CloudEvalBenchmark(small_dataset, BenchmarkConfig(seed=7)).evaluate_model(
             MODEL, problems=problems
         )
+        model = calibrate_models([get_model(MODEL, seed=7)], small_dataset)[0]
+        requests = [
+            GenerationRequest(problem=problem, shots=0, sample_index=0) for problem in problems
+        ]
 
-        plan = FaultPlan(
-            [FaultSpec(site="worker.generate", kind="kill", match=poison, times=0)],
-            seed=23,
-        )
-        executor = FleetExecutor(
-            num_workers=2,
-            lease_seconds=1.2,
-            poll_seconds=0.05,
-            chunk_size=1,
-            fault_plan=plan,
-            respawn_limit=4,
-            event_log=tmp_path / "events.jsonl",
-        )
-        try:
-            model = calibrate_models([get_model(MODEL, seed=7)], small_dataset)[0]
-            pipeline = EvaluationPipeline(
-                model,
-                model_spec=ModelSpec.of(model),
-                executor=executor,
-                store=ReferenceStore(),
-                batch_size=5,
+        def offloaded(events_path, run):
+            executor = FleetExecutor(
+                num_workers=2,
+                lease_seconds=1.2,
+                poll_seconds=0.05,
+                chunk_size=1,
+                fault_plan=FaultPlan(
+                    [FaultSpec(site="worker.generate", kind="kill", match=poison, times=0)],
+                    seed=23,
+                ),
+                respawn_limit=4,
+                event_log=events_path,
             )
-            requests = [
-                GenerationRequest(problem=problem, shots=0, sample_index=0)
-                for problem in problems
-            ]
-            evaluation = pipeline.run(requests)
-        finally:
-            executor.close()
+            try:
+                pipeline = EvaluationPipeline(
+                    model,
+                    model_spec=ModelSpec.of(model),
+                    executor=executor,
+                    store=ReferenceStore(),
+                    batch_size=5,
+                )
+                return run(pipeline)
+            finally:
+                executor.close()
+
+        def one_batch_at_a_time(pipeline):
+            records = []
+            for start in range(0, len(requests), pipeline.batch_size):
+                batch = requests[start : start + pipeline.batch_size]
+                records.extend(pipeline.finish_batch(pipeline.prepare_batch(batch)))
+            return pipeline.aggregate.finalize(model.name, records)
+
+        evaluation = offloaded(tmp_path / "events.jsonl", lambda pipeline: pipeline.run(requests))
+        stepped = offloaded(tmp_path / "stepped.jsonl", one_batch_at_a_time)
 
         by_problem = {record.problem_id: record for record in evaluation.records}
         degraded = by_problem[poison]
         assert degraded.error.startswith("degraded: ")
         assert degraded.scores.as_dict() == {name: 0.0 for name in degraded.scores.as_dict()}
         assert degraded.scores.failure_message == degraded.error.removeprefix("degraded: ")
+
+        def degraded_keys(run):
+            return {
+                (record.problem_id, record.variant)
+                for record in run.records
+                if record.error.startswith("degraded: ")
+            }
+
+        assert degraded_keys(evaluation) == degraded_keys(stepped) == {(poison, degraded.variant)}
         serial_by_problem = {record.problem_id: record for record in serial.records}
-        for problem_id, record in by_problem.items():
-            if problem_id != poison:
-                assert record == serial_by_problem[problem_id]
+        for run in (evaluation, stepped):
+            assert [record.problem_id for record in run.records] == [
+                problem.problem_id for problem in problems
+            ]
+            for record in run.records:
+                if record.problem_id != poison:
+                    assert record == serial_by_problem[record.problem_id]
         assert evaluation.coverage == (len(problems) - 1) / len(problems)
+        for events_path in (tmp_path / "events.jsonl", tmp_path / "stepped.jsonl"):
+            done = [event["job"] for event in _events(events_path) if event["event"] == "done"]
+            assert len(done) == len(set(done)) == len(problems)
 
     def test_leaderboard_shows_coverage_for_a_degraded_run(self, small_dataset):
         from repro.core.benchmark import BenchmarkResult

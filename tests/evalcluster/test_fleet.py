@@ -5,7 +5,8 @@ Three layers under test:
 * the frame protocol and :class:`StoreServer` command surface — including
   a torn half-frame on disconnect, which must drop only that connection;
 * the :class:`FleetExecutor` map contract — ordered results, error
-  propagation, duplicate-execution safety;
+  propagation, duplicate-execution safety — and its submit seam, where
+  several submissions share the fleet and one coordinator loop;
 * the end-to-end invariant: a fleet evaluation with a worker SIGKILLed
   mid-batch re-enqueues its job exactly once and still produces records
   bit-identical to a serial run.
@@ -13,6 +14,7 @@ Three layers under test:
 
 from __future__ import annotations
 
+import json
 import math
 import pickle
 import socket
@@ -369,6 +371,93 @@ class TestFleetExecutor:
         finally:
             worker.terminate()
             worker.wait(timeout=10)
+
+
+# ---------------------------------------------------------------------------
+# The submit seam: several submissions on the fleet at once
+# ---------------------------------------------------------------------------
+
+
+def _booted(executor, workers, timeout=60.0):
+    """Map until every worker has heartbeated, so each is parked on a
+    claim when the test's own jobs arrive."""
+
+    deadline = time.monotonic() + timeout
+    executor.map(math.factorial, list(range(2 * workers)))
+    while len(executor.stats().heartbeat_ages) < workers:
+        assert time.monotonic() < deadline, "fleet workers did not start"
+        time.sleep(0.05)
+        executor.map(math.factorial, list(range(2 * workers)))
+
+
+def _done_events(path):
+    events = [json.loads(line) for line in Path(path).read_text().splitlines() if line.strip()]
+    return [event["job"] for event in events if event["event"] == "done"]
+
+
+class TestSubmit:
+    def test_handles_resolved_in_reverse_order_equal_map(self, tmp_path):
+        first_tasks, second_tasks = list(range(20)), list(range(20, 33))
+        with FleetExecutor(
+            num_workers=2, lease_seconds=10.0, event_log=tmp_path / "events.jsonl"
+        ) as executor:
+            first = executor.submit(math.factorial, first_tasks)
+            second = executor.submit(math.factorial, second_tasks)
+            assert second.result() == executor.map(math.factorial, second_tasks)
+            assert first.result() == executor.map(math.factorial, first_tasks)
+            # Each row leaves the executor once.
+            with pytest.raises(RuntimeError, match="not outstanding"):
+                first.result()
+            stats = executor.stats()
+            assert stats.pending == stats.claimed == stats.abandoned == 0
+            assert executor._rows == {} and executor._outstanding == set()
+        done = _done_events(tmp_path / "events.jsonl")
+        assert len(done) == len(set(done)) == stats.completed
+
+    def test_a_later_completion_is_parked_and_returned_once(self, tmp_path):
+        with FleetExecutor(
+            num_workers=2,
+            lease_seconds=10.0,
+            chunk_size=1,
+            claim_batch_limit=1,
+            event_log=tmp_path / "events.jsonl",
+        ) as executor:
+            _booted(executor, 2)
+            slow = executor.submit(time.sleep, [1.0])
+            fast = executor.submit(math.factorial, [5, 6])
+            assert slow.result() == [None]
+            # The idle worker ran the later submission while the earlier
+            # one was driven: its rows wait in the executor, untaken.
+            assert set(executor._rows) == set(fast._job_ids)
+            assert fast.result() == [120, 720]
+            assert executor._rows == {} and executor._outstanding == set()
+        done = _done_events(tmp_path / "events.jsonl")
+        assert len(done) == len(set(done))
+        assert set(slow._job_ids + fast._job_ids) <= set(done)
+
+    def test_submit_nothing_resolves_to_an_empty_list(self):
+        executor = FleetExecutor(num_workers=1, lease_seconds=10.0)
+        try:
+            assert executor.submit(math.factorial, []).result() == []
+            assert executor.stats() is None  # nothing was started for it
+        finally:
+            executor.close()
+
+    def test_a_payload_failure_raises_from_its_own_handle_only(self):
+        with FleetExecutor(num_workers=1, lease_seconds=10.0) as executor:
+            failing = executor.submit(math.sqrt, [4.0, -1.0])
+            healthy = executor.submit(math.sqrt, [9.0])
+            assert healthy.result() == [3.0]
+            with pytest.raises(RuntimeError, match="fleet job .* failed"):
+                failing.result()
+            assert executor._rows == {} and executor._outstanding == set()
+
+    def test_result_after_close_raises_instead_of_waiting(self):
+        executor = FleetExecutor(num_workers=1, lease_seconds=10.0)
+        future = executor.submit(time.sleep, [0.5])
+        executor.close()
+        with pytest.raises(RuntimeError, match="not outstanding"):
+            future.result()
 
 
 # ---------------------------------------------------------------------------

@@ -5,15 +5,21 @@ The fleet benchmark proves the wall-clock win; these tests pin the
 envelope's validation and build semantics, bit-identity of the offloaded
 generate→extract→score chain against the parent path (healthy and
 failing endpoints alike), degraded-slot handling, checkpoint resume over
-an offloaded run, worker-measured timings surviving ``prepare_batch``'s
-shared-elapsed stamping, and the throughput-weighted steal policy.
+an offloaded run, two batches in flight on a submitting executor (and an
+abandoned fleet stream finishing the one still submitted), worker-measured
+timings surviving ``prepare_batch``'s shared-elapsed stamping, and the
+throughput-weighted steal policy.
 """
 
 from __future__ import annotations
 
+import math
+from types import SimpleNamespace
+
 import pytest
 
 from repro.core import BenchmarkConfig, CloudEvalBenchmark
+from repro.evalcluster.fleet import FleetExecutor
 from repro.llm.interface import GenerationRequest
 from repro.llm.registry import get_model
 from repro.llm.remote import LiveEndpointModel, ModelSpec, ReplayTransport
@@ -259,6 +265,132 @@ class TestDegradedOffload:
         ).run(_requests(problems))
         assert retry.mapped == 2
         assert resumed.records == truth.records
+
+
+# ---------------------------------------------------------------------------
+# Streaming with two batches in flight
+# ---------------------------------------------------------------------------
+
+
+class _MapLog:
+    """A serial executor that logs each ``map`` by its batch's first problem."""
+
+    name = "map-log"
+
+    def __init__(self, log):
+        self.log = log
+
+    def map(self, fn, tasks):
+        tasks = list(tasks)
+        self.log.append(("map", tasks[0].request.problem.problem_id))
+        return [fn(task) for task in tasks]
+
+
+class _SubmitLog(_MapLog):
+    """Adds the fleet's ``submit`` seam: work is logged when it is handed
+    over and again when its results are waited for."""
+
+    def submit(self, fn, tasks):
+        tasks = list(tasks)
+        first = tasks[0].request.problem.problem_id
+        self.log.append(("submit", first))
+
+        def result():
+            self.log.append(("result", first))
+            return [fn(task) for task in tasks]
+
+        return SimpleNamespace(result=result)
+
+
+def _logged_run(executor_type, problems, log):
+    model = get_model("gpt-4")
+    pipeline = EvaluationPipeline(
+        model,
+        model_spec=ModelSpec.of(model),
+        executor=executor_type(log),
+        store=ReferenceStore(),
+        batch_size=4,
+    )
+    return pipeline.run_iter(_requests(problems))
+
+
+class TestBatchesInFlight:
+    def test_next_batch_is_submitted_before_the_current_one_is_awaited(self, small_dataset):
+        problems = list(small_dataset)[:10]
+        truth = EvaluationPipeline(get_model("gpt-4"), store=ReferenceStore()).run(
+            _requests(problems)
+        )
+        log = []
+        records = []
+        for record in _logged_run(_SubmitLog, problems, log):
+            records.append(record)
+            log.append(("record", record.problem_id))
+        ids = [problem.problem_id for problem in problems]
+        assert log == [
+            ("submit", ids[0]),
+            ("submit", ids[4]),
+            ("result", ids[0]),
+            *[("record", pid) for pid in ids[0:4]],
+            ("submit", ids[8]),
+            ("result", ids[4]),
+            *[("record", pid) for pid in ids[4:8]],
+            ("result", ids[8]),
+            *[("record", pid) for pid in ids[8:10]],
+        ]
+        assert records == truth.records
+
+    def test_an_executor_without_submit_maps_each_batch_when_it_is_finished(
+        self, small_dataset
+    ):
+        problems = list(small_dataset)[:10]
+        log = []
+        for record in _logged_run(_MapLog, problems, log):
+            log.append(("record", record.problem_id))
+        ids = [problem.problem_id for problem in problems]
+        assert log == [
+            ("map", ids[0]),
+            *[("record", pid) for pid in ids[0:4]],
+            ("map", ids[4]),
+            *[("record", pid) for pid in ids[4:8]],
+            ("map", ids[8]),
+            *[("record", pid) for pid in ids[8:10]],
+        ]
+
+    def test_abandoned_fleet_stream_orphans_no_job(self, tmp_path, small_dataset):
+        """Closing an offloaded stream after its first record resolves
+        and checkpoints the batch still on the fleet: no job is left
+        outstanding, a resume ships only the batch that never started,
+        and the executor keeps serving."""
+
+        problems = list(small_dataset)[:12]
+        model = get_model("gpt-4")
+        truth = EvaluationPipeline(model, store=ReferenceStore()).run(_requests(problems))
+        path = tmp_path / "abandoned.ckpt.jsonl"
+        with FleetExecutor(num_workers=2, lease_seconds=30.0) as executor:
+
+            def pipeline():
+                return EvaluationPipeline(
+                    model,
+                    model_spec=ModelSpec.of(model),
+                    executor=executor,
+                    store=ReferenceStore(),
+                    checkpoint=PipelineCheckpoint(path),
+                    batch_size=4,
+                )
+
+            stream = pipeline().run_iter(_requests(problems))
+            assert next(stream) == truth.records[0]
+            stream.close()
+            stats = executor.stats()
+            assert stats.pending == stats.claimed == stats.abandoned == 0
+            assert executor._rows == {} and executor._outstanding == set()
+            assert len(PipelineCheckpoint(path)) == 8
+
+            resumed = pipeline().run(_requests(problems))
+            assert resumed.records == truth.records
+            # Four single-task jobs: only the batch that never started.
+            assert executor.stats().completed - stats.completed == 4
+            assert executor.map(math.factorial, [5, 6]) == [120, 720]
 
 
 # ---------------------------------------------------------------------------
