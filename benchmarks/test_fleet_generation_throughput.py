@@ -17,12 +17,14 @@ Two guards:
    end by >= 1.5x with four workers (the parent path serialises
    ``N * latency`` while offload pays ``~N * latency / 4``), with records
    bit-identical and per-worker throughput surfaced in the master stats
-   footer.  On a shared 2-vCPU machine it measured 2.72-2.75x on the full
-   corpus (parent-side 13.5 s, offloaded 4.9-5.0 s) and 3.6x on the
+   footer.  On a shared 2-vCPU machine it measured 3.24-3.31x on the full
+   corpus (parent-side 13.6 s, offloaded 4.1 s) and 5.4x on the
    ``REPRO_BENCH_FAST`` corpus CI runs.  The offloaded side streams
    through ``EvaluationPipeline.run``, so it keeps two batches on the
-   fleet at once; with one batch at a time it had read 1.67-1.86x and
-   2.65-2.74x on the same machine.
+   fleet at once, and each worker keeps a job's requests in flight
+   together.  With one request in flight per worker it had read
+   2.72-2.75x and 3.6x, and with one batch at a time as well 1.67-1.86x
+   and 2.65-2.74x, on the same machine.
 2. **Pacing** — four workers hammering one distributed bucket must be
    granted tokens no faster than the configured global rate: the grant
    span has a hard floor of ``(grants - burst) / rate`` and no sliding

@@ -87,6 +87,7 @@ import subprocess
 import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Any, Callable, Generic, Sequence, TypeVar
 
@@ -94,9 +95,11 @@ from repro.evalcluster.calibration import Ewma
 from repro.evalcluster.kvstore import JournaledStore, RedisLikeStore
 from repro.evalcluster.master import EvaluationJob, Master, MasterStats
 from repro.pipeline.executors import DegradedResult
+from repro.pipeline.stages import run_generation_task, run_generation_tasks
 from repro.utils.backoff import BackoffPolicy
 from repro.utils.faults import FaultInjector, FaultPlan, null_injector
 from repro.utils.jsonl import JsonlLog
+from repro.utils.pools import LazyPool
 from repro.utils.ratelimit import TokenBucket
 
 __all__ = [
@@ -806,13 +809,17 @@ class DistributedTokenBucket:
         self.burst = int(burst)
         self.acquired = 0
         self.waited_seconds = 0.0
+        # A worker's concurrent requests share this client: the counters
+        # are read-modify-writes, so they update under a lock.
+        self._counts = threading.Lock()
 
     def try_acquire(self) -> float:
         """Debit one token; return seconds the caller must wait before acting."""
 
         wait = float(self.store.rate_acquire(self.key, self.rate, self.burst))
-        self.acquired += 1
-        self.waited_seconds += wait
+        with self._counts:
+            self.acquired += 1
+            self.waited_seconds += wait
         return wait
 
     def acquire(self) -> float:
@@ -873,6 +880,11 @@ def fleet_pacer(key: str, rate: float, burst: int = 1) -> DistributedTokenBucket
         return pacer
 
 
+#: The most endpoint requests a fleet worker keeps in flight: the size of
+#: its request pool.  One job's requests go out together, one per task.
+MAX_REQUESTS_IN_FLIGHT = 16
+
+
 class FleetWorker:
     """One out-of-process worker: claim a batch, execute, report, repeat.
 
@@ -885,6 +897,14 @@ class FleetWorker:
     its lease was re-assigned cannot overwrite the authoritative result.
     Results are followed by completion events on ``jobs:done`` so the
     coordinator never polls the results hash.
+
+    A job of :func:`~repro.pipeline.stages.run_generation_task` keeps its
+    endpoint requests in flight together: they go out on the worker's
+    own request pool (at most :data:`MAX_REQUESTS_IN_FLIGHT` threads,
+    built on first use) and the answers are scored in task order on the
+    worker's thread (:func:`~repro.pipeline.stages.run_generation_tasks`).
+    The results are the same as one task at a time.  Any other function
+    (scoring is CPU-bound) runs task by task.
 
     A daemon heartbeat thread on a second connection publishes
     ``(sequence, current job ids, throughput)`` every
@@ -906,8 +926,9 @@ class FleetWorker:
     beat is silently skipped — the worker looks dead while still
     working) and ``delay``.  Generation tasks additionally fire the
     ``worker.generate`` site (detail = problem id, via
-    :func:`worker_injector`) per record, supporting ``kill`` and
-    ``delay``.  Every fired fault is queued on the store under
+    :func:`worker_injector`) per record, in task order on the worker's
+    thread before that record's request is sent, supporting ``kill``
+    and ``delay``.  Every fired fault is queued on the store under
     :data:`FAULTS_KEY` for the coordinator's event log.
 
     Two organic (not injected) protections ride along:
@@ -961,6 +982,11 @@ class FleetWorker:
         self._job_ewma = Ewma()
         self._generate_rps = Ewma()
         self._score_rps = Ewma()
+        self._requests = LazyPool(
+            lambda: ThreadPoolExecutor(
+                max_workers=MAX_REQUESTS_IN_FLIGHT, thread_name_prefix="fleet-request"
+            )
+        )
 
     def _publish_fault(self, event: dict[str, Any]) -> None:
         """Queue a fired fault for the coordinator's event log (best effort).
@@ -1024,23 +1050,28 @@ class FleetWorker:
             pass
         os.kill(os.getpid(), signal.SIGKILL)
 
-    def _observe(self, results: Sequence[Any], elapsed: float) -> None:
+    def _observe(
+        self, results: Sequence[Any], elapsed: float, request_seconds: float = 0.0
+    ) -> None:
         """Fold one finished job into the throughput EWMAs.
 
-        Result shapes carry their own timing: a generation outcome has
-        ``generate_seconds``/``score_seconds`` attributes, a timed score
-        envelope is a ``(card, seconds)`` tuple.  Untimed results still
-        feed the per-job EWMA that sizes the next claim batch.
+        Generation throughput is the job's generation outcomes ÷
+        ``request_seconds``, the wall span of its request phase: the
+        requests overlap, so their own ``generate_seconds`` are latencies
+        and their sum is not the time the worker spent.  Scoring runs on
+        one thread, so a score rate sums per-record seconds: a
+        generation outcome's ``score_seconds``, or a timed score
+        envelope's ``(card, seconds)`` tuple.  Untimed results still feed
+        the per-job EWMA that sizes the next claim batch.
         """
 
-        gen_records, gen_seconds = 0, 0.0
+        gen_records = 0
         score_records, score_seconds = 0, 0.0
         for item in results:
             generate = getattr(item, "generate_seconds", None)
             score = getattr(item, "score_seconds", None)
             if generate is not None:
                 gen_records += 1
-                gen_seconds += float(generate)
             if score is not None:
                 score_records += 1
                 score_seconds += float(score)
@@ -1054,8 +1085,8 @@ class FleetWorker:
                 score_seconds += float(item[1])
         with self._job_lock:
             self._job_ewma.observe(elapsed)
-            if gen_records and gen_seconds > 0:
-                self._generate_rps.observe(gen_records / gen_seconds)
+            if gen_records and request_seconds > 0:
+                self._generate_rps.observe(gen_records / request_seconds)
             if score_records and score_seconds > 0:
                 self._score_rps.observe(score_records / score_seconds)
 
@@ -1138,8 +1169,12 @@ class FleetWorker:
                 watchdog.start()
             started = time.monotonic()
             try:
-                result = [function(task) for task in tasks]
-                self._observe(result, time.monotonic() - started)
+                request_seconds = 0.0
+                if function is run_generation_task:
+                    result, request_seconds = run_generation_tasks(tasks, self._requests.get())
+                else:
+                    result = [function(task) for task in tasks]
+                self._observe(result, time.monotonic() - started, request_seconds)
                 row = {
                     "worker": self.worker_id,
                     "finished_at": time.time(),
@@ -1218,6 +1253,7 @@ class FleetWorker:
                         self._current_jobs = ()
         finally:
             stop.set()
+            self._requests.close()
             self.store.close()
             self.beat_store.close()
 

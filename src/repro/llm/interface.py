@@ -143,17 +143,26 @@ class QueryModule:
         return GenerationResult(request=request, response=response, model_name=self.model.name)
 
     def _query_captured(self, request: GenerationRequest) -> GenerationResult:
-        """Run one request, converting a model exception into a failed result."""
+        """Run one request, converting a model exception into a failed result.
+
+        The one place a failed request becomes ``error = "{Type}:
+        {message}"`` with an empty response: the parent's generate stage
+        and the offloaded :func:`~repro.pipeline.stages.run_generation_task`
+        both capture here, and the async path shares :meth:`_failed`.
+        """
 
         try:
             return self.query(request)
         except Exception as exc:  # noqa: BLE001 - isolate per-request failures
-            return GenerationResult(
-                request=request,
-                response="",
-                model_name=self.model.name,
-                error=f"{type(exc).__name__}: {exc}",
-            )
+            return self._failed(request, exc)
+
+    def _failed(self, request: GenerationRequest, exc: Exception) -> GenerationResult:
+        return GenerationResult(
+            request=request,
+            response="",
+            model_name=self.model.name,
+            error=f"{type(exc).__name__}: {exc}",
+        )
 
     def query_batch(self, requests: Sequence[GenerationRequest]) -> list[GenerationResult]:
         """Run a batch of requests, preserving order.
@@ -207,12 +216,7 @@ class QueryModule:
                         )
                     return self._query_captured(request)
                 except Exception as exc:  # noqa: BLE001 - isolate per-request failures
-                    return GenerationResult(
-                        request=request,
-                        response="",
-                        model_name=self.model.name,
-                        error=f"{type(exc).__name__}: {exc}",
-                    )
+                    return self._failed(request, exc)
 
         return list(await asyncio.gather(*(one(request) for request in requests)))
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -217,8 +218,10 @@ class LiveEndpointModel:
         self._sleep = sleep
         self._async_sleep = async_sleep if async_sleep is not None else asyncio.sleep
         #: Observability: attempts sent to the wire, transient retries paid.
+        #: Concurrent requests update them under ``_counts``.
         self.requests = 0
         self.retries = 0
+        self._counts = threading.Lock()
 
     @property
     def name(self) -> str:
@@ -232,7 +235,8 @@ class LiveEndpointModel:
         for retry_index in range(self.max_retries + 1):
             if self.limiter is not None:
                 self.limiter.acquire()
-            self.requests += 1
+            with self._counts:
+                self.requests += 1
             try:
                 spec = self.injector.fire("endpoint.request", problem.problem_id)
                 if spec is not None and spec.kind == "transient":
@@ -242,7 +246,8 @@ class LiveEndpointModel:
             except TransientEndpointError:
                 if retry_index >= self.max_retries:
                     raise
-                self.retries += 1
+                with self._counts:
+                    self.retries += 1
                 backoff = self._backoff(retry_index)
                 if backoff > 0:
                     self._sleep(backoff)
@@ -253,7 +258,8 @@ class LiveEndpointModel:
         for retry_index in range(self.max_retries + 1):
             if self.limiter is not None:
                 await self.limiter.acquire_async()
-            self.requests += 1
+            with self._counts:
+                self.requests += 1
             try:
                 spec = self.injector.fire("endpoint.request", problem.problem_id)
                 if spec is not None and spec.kind == "transient":
@@ -270,7 +276,8 @@ class LiveEndpointModel:
             except TransientEndpointError:
                 if retry_index >= self.max_retries:
                     raise
-                self.retries += 1
+                with self._counts:
+                    self.retries += 1
                 backoff = self._backoff(retry_index)
                 if backoff > 0:
                     await self._async_sleep(backoff)

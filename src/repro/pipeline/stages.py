@@ -19,13 +19,15 @@ from __future__ import annotations
 
 import os
 import signal
+import threading
 import time
+from concurrent.futures import Executor as FuturesExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from typing import TYPE_CHECKING, Any, Callable, Protocol, Sequence, runtime_checkable
 
 from repro.dataset.problem import Problem
-from repro.llm.interface import GenerationRequest, QueryModule
+from repro.llm.interface import GenerationRequest, GenerationResult, QueryModule
 from repro.pipeline.executors import AsyncExecutor, DegradedResult, Executor, SerialExecutor
 from repro.pipeline.records import EvaluationRecord, ModelEvaluation
 from repro.postprocess import extract_yaml
@@ -60,6 +62,7 @@ __all__ = [
     "default_stages",
     "offload_stages",
     "run_generation_task",
+    "run_generation_tasks",
     "run_timed_score_task",
 ]
 
@@ -423,12 +426,15 @@ class GenerationTask:
 class GenerationOutcome:
     """What one :class:`GenerationTask` produced, measured where it ran.
 
-    ``generate_seconds``/``score_seconds`` are worker-measured wall
-    seconds — the true remote cost, which both the pipeline's timing
-    fields and the fleet's throughput EWMAs want.  Mirrors
-    :meth:`QueryModule._query_captured` semantics: a model exception
-    becomes ``error`` with an empty response, and the (empty) extraction
-    is still scored, exactly as the parent-process path would.
+    ``generate_seconds`` is the worker-measured latency of this record's
+    one request (pacing wait and endpoint time), and ``score_seconds`` the
+    wall seconds its extraction was scored for.  Both feed the pipeline's
+    timing fields.  A fleet worker keeps a job's requests in flight
+    together, so a job's ``generate_seconds`` overlap and their sum is not
+    the worker's throughput (see :func:`run_generation_tasks`).  A model
+    exception becomes ``error`` with an empty response, captured by
+    :meth:`QueryModule._query_captured`, and the (empty) extraction is
+    still scored, exactly as the parent-process path would.
     """
 
     model_name: str
@@ -445,6 +451,7 @@ class GenerationOutcome:
 #: one-model-per-process contract — the same role ``_PROCESS_STORE`` plays
 #: for compiled references.
 _SPEC_MODELS: dict[str, "Model"] = {}
+_SPEC_MODELS_LOCK = threading.Lock()
 
 
 def _generation_model(spec: "ModelSpec") -> "Model":
@@ -455,77 +462,138 @@ def _generation_model(spec: "ModelSpec") -> "Model":
     the endpoint debits one server-side balance, so the global limit
     holds across the fleet.  Outside a worker (a process pool, or the
     parent process itself) the spec falls back to a local wall-clock
-    bucket.
+    bucket.  A worker's concurrent requests may all ask first; the lock
+    makes one of them build the model (and its pacer client).
     """
 
     model = _SPEC_MODELS.get(spec.name)
-    if model is None:
-        from repro.evalcluster.fleet import fleet_pacer
+    if model is not None:
+        return model
+    with _SPEC_MODELS_LOCK:
+        model = _SPEC_MODELS.get(spec.name)
+        if model is None:
+            from repro.evalcluster.fleet import fleet_pacer
 
-        limiter = None
-        if spec.rate_limit is not None:
-            limiter = fleet_pacer(spec.limiter_key, spec.rate_limit, spec.burst)
-        model = spec.build(limiter=limiter)
-        _SPEC_MODELS[spec.name] = model
-    return model
+            limiter = None
+            if spec.rate_limit is not None:
+                limiter = fleet_pacer(spec.limiter_key, spec.rate_limit, spec.burst)
+            model = spec.build(limiter=limiter)
+            _SPEC_MODELS[spec.name] = model
+        return model
 
 
-def run_generation_task(task: GenerationTask) -> GenerationOutcome:
-    """Run one request's full generate→extract→score chain where it lands.
+def _fire_generate_fault(task: GenerationTask) -> None:
+    """Fire the ``worker.generate`` fault site for one record.
 
-    Module-level and self-contained so fleet workers (and process pools)
-    can pickle it by reference.  Error capture matches
-    :meth:`QueryModule._query_captured` exactly — ``{type}: {message}``,
-    empty response — and the empty extraction is scored like any other,
-    so offloaded records are bit-identical to parent-generated ones.
-
-    Fires the ``worker.generate`` fault site (detail = problem id) before
-    querying the model: ``kill`` takes the whole worker down mid-batch —
+    Detail = problem id.  ``kill`` takes the whole worker down mid-job —
     the lease/strike/degradation machinery's hardest case — and ``delay``
-    stretches the request.
+    holds back the record's request.
     """
 
     from repro.evalcluster.fleet import worker_injector
 
-    request = task.request
-    problem = request.problem
-    spec = worker_injector().fire("worker.generate", problem.problem_id)
+    problem_id = task.request.problem.problem_id
+    spec = worker_injector().fire("worker.generate", problem_id)
     if spec is not None and spec.kind == "kill":
-        # Die as a crashed generation process would: mid-batch, claim
+        # Die as a crashed generation process would: mid-job, claim
         # registered, strike counted, nothing reported.
         os.kill(os.getpid(), signal.SIGKILL)
-    worker_injector().sleep_if_delay(spec, problem.problem_id)
+    worker_injector().sleep_if_delay(spec, problem_id)
 
-    model = _generation_model(task.spec)
-    error = ""
+
+@dataclass(frozen=True)
+class _Answer:
+    """The request half's output: the captured result and its wall span."""
+
+    result: GenerationResult
+    started: float
+    finished: float
+
+
+def _request_generation(task: GenerationTask) -> _Answer:
+    """The request half: query the model, capturing a failure as ``error``."""
+
+    query = QueryModule(_generation_model(task.spec))
     started = time.perf_counter()
-    try:
-        response = model.generate(
-            problem, shots=request.shots, sample_index=request.sample_index
-        )
-    except Exception as exc:  # noqa: BLE001 - mirror _query_captured
-        response = ""
-        error = f"{type(exc).__name__}: {exc}"
-    generate_seconds = time.perf_counter() - started
+    result = query._query_captured(task.request)
+    return _Answer(result, started, time.perf_counter())
 
+
+def _score_generation(task: GenerationTask, answer: _Answer) -> GenerationOutcome:
+    """The score half: extract the answer and score it against the reference."""
+
+    response = answer.result.response
     extracted = extract_yaml(response)
     compiled = task.compiled
     if compiled is None:
         from repro.scoring.compiled import warm_reference_store
 
-        compiled = warm_reference_store().get(problem)
+        compiled = warm_reference_store().get(task.request.problem)
     started = time.perf_counter()
     card = score_extracted(compiled, extracted, task.run_unit_tests)
     score_seconds = time.perf_counter() - started
     return GenerationOutcome(
         model_name=task.spec.name,
         response=response,
-        error=error,
+        error=answer.result.error,
         extracted=extracted,
         card=card,
-        generate_seconds=generate_seconds,
+        generate_seconds=answer.finished - answer.started,
         score_seconds=score_seconds,
     )
+
+
+def run_generation_task(task: GenerationTask) -> GenerationOutcome:
+    """Run one request's full generate→extract→score chain where it lands.
+
+    Module-level and self-contained so fleet workers (and process pools)
+    can pickle it by reference.  The request half captures a model
+    exception through :meth:`QueryModule._query_captured` —
+    ``{type}: {message}``, empty response — and the empty extraction is
+    scored like any other, so offloaded records are bit-identical to
+    parent-generated ones.
+
+    Fires the ``worker.generate`` fault site (detail = problem id) before
+    querying the model.  A fleet worker runs a whole job of these through
+    :func:`run_generation_tasks` instead: the same halves, with the
+    requests in flight together.
+    """
+
+    _fire_generate_fault(task)
+    return _score_generation(task, _request_generation(task))
+
+
+def run_generation_tasks(
+    tasks: Sequence[GenerationTask], pool: FuturesExecutor
+) -> tuple[list[GenerationOutcome], float]:
+    """Run a job of generation tasks with its requests in flight together.
+
+    In task order, each record fires ``worker.generate`` and then hands
+    its request half to ``pool``; the answers are then extracted and
+    scored in task order on the calling thread, each as soon as it
+    arrives.  Outcomes equal ``[run_generation_task(t) for t in tasks]``.
+    At most one request per task is in flight, and never more than the
+    pool has threads.
+
+    Also returns the wall seconds of the request phase, from the first
+    request sent to the last answer received: records ÷ that span is the
+    generation throughput the caller achieved, which the overlapping
+    per-request ``generate_seconds`` no longer sum to.
+    """
+
+    pending = []
+    for task in tasks:
+        _fire_generate_fault(task)
+        pending.append(pool.submit(_request_generation, task))
+    answers: list[_Answer] = []
+    outcomes: list[GenerationOutcome] = []
+    for task, future in zip(tasks, pending):
+        answers.append(future.result())
+        outcomes.append(_score_generation(task, answers[-1]))
+    if not answers:
+        return outcomes, 0.0
+    span = max(a.finished for a in answers) - min(a.started for a in answers)
+    return outcomes, span
 
 
 class FleetGenerationStage:
@@ -538,8 +606,10 @@ class FleetGenerationStage:
     :func:`run_generation_task` over the batch.  The coordinator then
     only moves envelopes; N workers generate *and* score concurrently
     while the distributed token bucket keeps the endpoint's global rate
-    limit intact.  Through :meth:`submit` the pipeline hands the fleet
-    the next batch before it waits for the current one.
+    limit intact.  Each worker keeps a job's requests in flight together
+    and scores the answers in task order
+    (:func:`run_generation_tasks`).  Through :meth:`submit` the pipeline
+    hands the fleet the next batch before it waits for the current one.
 
     A :class:`~repro.pipeline.executors.DegradedResult` slot (the fleet
     lost that job beyond recovery) degrades exactly like the score

@@ -9,7 +9,9 @@ Three layers under test:
   several submissions share the fleet and one coordinator loop;
 * the end-to-end invariant: a fleet evaluation with a worker SIGKILLed
   mid-batch re-enqueues its job exactly once and still produces records
-  bit-identical to a serial run.
+  bit-identical to a serial run;
+* the worker's own side: a generation job's requests in flight together,
+  the throughput it reports, and pacer counters shared by its threads.
 """
 
 from __future__ import annotations
@@ -23,14 +25,19 @@ import subprocess
 import sys
 import threading
 import time
+from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from repro.core import BenchmarkConfig, CloudEvalBenchmark
 from repro.evalcluster.fleet import (
+    _PAYLOAD_PREFIX,
     CLAIMS_KEY,
+    DistributedTokenBucket,
     FleetExecutor,
+    FleetWorker,
     FrameError,
     RemoteStore,
     StoreCommandError,
@@ -40,6 +47,11 @@ from repro.evalcluster.fleet import (
 )
 from repro.evalcluster.kvstore import RedisLikeStore
 from repro.evalcluster.master import Master
+from repro.llm.interface import GenerationRequest
+from repro.llm.registry import get_model
+from repro.llm.remote import ModelSpec
+from repro.pipeline import stages as stages_module
+from repro.pipeline.stages import GenerationTask, run_generation_task
 from repro.utils.faults import FaultPlan, FaultSpec
 
 MODEL = "gpt-3.5"
@@ -669,3 +681,94 @@ class TestStats:
             speeds = executor.worker_relative_speeds()
         assert speeds == [1.5, 0.5]
         assert speeds[0] / speeds[1] == pytest.approx(3.0)
+
+
+# ---------------------------------------------------------------------------
+# Inside one worker: concurrent requests, reported throughput, shared pacer
+# ---------------------------------------------------------------------------
+
+#: Barriers by name: the transport below travels through the store as a
+#: pickled payload, which a barrier cannot.
+_BARRIERS: dict[str, threading.Barrier] = {}
+
+
+@dataclass(frozen=True)
+class _BarrierTransport:
+    """Answers only once ``parties`` requests wait at the named barrier."""
+
+    key: str
+    responses: dict
+
+    def __call__(self, prompt):
+        _BARRIERS[self.key].wait()
+        return self.responses[prompt]
+
+
+class TestWorkerJob:
+    def test_a_generation_job_keeps_its_requests_in_flight_together(self, server, small_dataset):
+        """A 4-task job run by a real worker: the 4-party barrier breaks
+        only if all four requests are in flight at once."""
+
+        problems = list(small_dataset)[:4]
+        inner = get_model("gpt-4")
+        requests = [GenerationRequest(problem=problem) for problem in problems]
+        _BARRIERS["job"] = threading.Barrier(4, timeout=10.0)
+        transport = _BarrierTransport("job", {r.prompt(): inner.generate(r.problem) for r in requests})
+        spec = ModelSpec(name="barrier-gpt-4", transport=transport)
+        tasks = [GenerationTask(request=request, spec=spec) for request in requests]
+        worker = FleetWorker(server.address, worker_id="w-job")
+        try:
+            worker.store.set(_PAYLOAD_PREFIX + "job-1", pickle.dumps((run_generation_task, tasks)))
+            job_id, row = worker._execute("job-1")
+        finally:
+            worker._requests.close()
+            worker.store.close()
+            stages_module._SPEC_MODELS.pop(spec.name, None)
+        assert job_id == "job-1" and row["passed"], row["result"]
+        assert [outcome.error for outcome in row["result"]] == [""] * 4
+        assert [outcome.response for outcome in row["result"]] == [
+            inner.generate(problem) for problem in problems
+        ]
+        assert worker._generate_rps.value is not None
+
+    def test_observe_folds_generation_over_the_request_span(self):
+        worker = FleetWorker(("127.0.0.1", 1))
+        outcomes = [SimpleNamespace(generate_seconds=0.5, score_seconds=0.25) for _ in range(4)]
+        worker._observe(outcomes, elapsed=1.5, request_seconds=0.5)
+        # 4 records whose requests overlapped in a 0.5 s span: 8 records/s,
+        # not the 2 records/s the summed 2.0 s of latencies would give.
+        assert worker._generate_rps.value == pytest.approx(8.0)
+        assert worker._score_rps.value == pytest.approx(4.0)
+        assert worker._job_ewma.value == pytest.approx(1.5)
+
+    def test_observe_leaves_generation_alone_for_score_jobs(self):
+        worker = FleetWorker(("127.0.0.1", 1))
+        worker._observe([("card", 0.5), ("card", 0.5)], elapsed=1.0)
+        assert worker._generate_rps.value is None
+        assert worker._score_rps.value == pytest.approx(2.0)
+
+    def test_pacer_counts_are_exact_under_concurrent_acquires(self):
+        class _FixedWait:
+            def rate_acquire(self, key, rate, burst):
+                return 0.25
+
+        bucket = DistributedTokenBucket(_FixedWait(), "pace", rate=10.0)
+        threads, acquires = 8, 500
+
+        def acquire_many():
+            for _ in range(acquires):
+                bucket.try_acquire()
+
+        pool = [threading.Thread(target=acquire_many) for _ in range(threads)]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often enough to lose an update
+        try:
+            for thread in pool:
+                thread.start()
+            for thread in pool:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(thread.is_alive() for thread in pool)
+        assert bucket.acquired == threads * acquires
+        assert bucket.waited_seconds == 0.25 * threads * acquires

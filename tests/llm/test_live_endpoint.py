@@ -5,6 +5,8 @@ from __future__ import annotations
 import asyncio
 import io
 import json
+import sys
+import threading
 import urllib.error
 import urllib.request
 
@@ -72,6 +74,40 @@ def test_exhausted_retries_propagate(problem):
     with pytest.raises(TransientEndpointError):
         model.generate(problem)
     assert state["calls"] == 2  # max_retries + 1 attempts
+
+
+def test_counters_are_exact_under_concurrent_requests(problem):
+    """Every thread's second attempt succeeds, so each request costs two
+    wire attempts and one retry; the shared counters add up exactly."""
+
+    threads, calls = 8, 200
+    attempts = threading.local()
+
+    def transport(prompt: str) -> str:
+        attempts.n = getattr(attempts, "n", 0) + 1
+        if attempts.n % 2:
+            raise TransientEndpointError("try again")
+        return "ok"
+
+    model = LiveEndpointModel("live", transport, max_retries=1, backoff_seconds=0.0)
+
+    def worker() -> None:
+        for _ in range(calls):
+            assert model.generate(problem) == "ok"
+
+    pool = [threading.Thread(target=worker) for _ in range(threads)]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often enough to lose an update
+    try:
+        for thread in pool:
+            thread.start()
+        for thread in pool:
+            thread.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(thread.is_alive() for thread in pool)
+    assert model.requests == 2 * threads * calls
+    assert model.retries == threads * calls
 
 
 def test_permanent_errors_are_not_retried(problem):

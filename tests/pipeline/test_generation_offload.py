@@ -6,29 +6,35 @@ envelope's validation and build semantics, bit-identity of the offloaded
 generate→extract→score chain against the parent path (healthy and
 failing endpoints alike), degraded-slot handling, checkpoint resume over
 an offloaded run, two batches in flight on a submitting executor (and an
-abandoned fleet stream finishing the one still submitted), worker-measured
-timings surviving ``prepare_batch``'s shared-elapsed stamping, and the
-throughput-weighted steal policy.
+abandoned fleet stream finishing the one still submitted), a job's
+requests in flight together with the answers scored in task order,
+worker-measured timings surviving ``prepare_batch``'s shared-elapsed
+stamping, and the throughput-weighted steal policy.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+import time
+from concurrent.futures import Future, ThreadPoolExecutor
 from types import SimpleNamespace
 
 import pytest
 
 from repro.core import BenchmarkConfig, CloudEvalBenchmark
+from repro.evalcluster import fleet as fleet_module
 from repro.evalcluster.fleet import FleetExecutor
-from repro.llm.interface import GenerationRequest
+from repro.llm.interface import GenerationRequest, QueryModule
 from repro.llm.registry import get_model
 from repro.llm.remote import LiveEndpointModel, ModelSpec, ReplayTransport
 from repro.pipeline import EvaluationPipeline, PipelineCheckpoint
 from repro.pipeline.executors import DegradedResult
 from repro.pipeline.scheduler import ModelJob, MultiModelScheduler, StealPolicy
-from repro.pipeline.stages import run_generation_task
+from repro.pipeline.stages import GenerationTask, run_generation_task, run_generation_tasks
 from repro.pipeline import stages as stages_module
 from repro.scoring.compiled import ReferenceStore
+from repro.utils.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.utils.ratelimit import TokenBucket
 
 
@@ -391,6 +397,152 @@ class TestBatchesInFlight:
             # Four single-task jobs: only the batch that never started.
             assert executor.stats().completed - stats.completed == 4
             assert executor.map(math.factorial, [5, 6]) == [120, 720]
+
+
+# ---------------------------------------------------------------------------
+# A fleet job's requests in flight together
+# ---------------------------------------------------------------------------
+
+
+class _Raising:
+    """A model whose every request fails."""
+
+    name = "raising"
+
+    def generate(self, problem, shots=0, sample_index=0):
+        raise ValueError(f"no answer for {problem.problem_id}")
+
+
+class _Deferred(Future):
+    def __init__(self, pool):
+        super().__init__()
+        self.pool = pool
+
+    def result(self, timeout=None):
+        self.pool.drain()
+        return super().result(timeout)
+
+
+class _NewestFirstPool:
+    """Holds submitted calls until a result is wanted, then runs the
+    newest first: the opposite of the order they were sent in."""
+
+    def __init__(self):
+        self.queued = []
+
+    def submit(self, fn, *args):
+        future = _Deferred(self)
+        self.queued.append((future, fn, args))
+        return future
+
+    def drain(self):
+        while self.queued:
+            future, fn, args = self.queued.pop()
+            future.set_result(fn(*args))
+
+
+def _tasks(spec, problems):
+    return [GenerationTask(request=request, spec=spec) for request in _requests(problems)]
+
+
+class TestRequestsInFlight:
+    def test_a_raising_model_gives_one_error_on_every_path(self, small_dataset):
+        """Error capture is defined once: the parent's query module, one
+        offloaded task, and a worker's concurrent job agree on it."""
+
+        problems = list(small_dataset)[:3]
+        tasks = _tasks(ModelSpec.of(_Raising()), problems)
+        parent = [QueryModule(_Raising())._query_captured(task.request) for task in tasks]
+        single = [run_generation_task(task) for task in tasks]
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            job, _ = run_generation_tasks(tasks, pool)
+        for problem, result, one, concurrent in zip(problems, parent, single, job):
+            assert result.error == f"ValueError: no answer for {problem.problem_id}"
+            assert one.error == concurrent.error == result.error
+            assert one.response == concurrent.response == result.response == ""
+            assert one.card == concurrent.card
+
+    def test_a_jobs_requests_are_in_flight_together(self, small_dataset):
+        """Each request waits at a 4-party barrier, which only breaks when
+        all four of the job's requests are in flight at once."""
+
+        problems = list(small_dataset)[:4]
+        inner = get_model("gpt-4")
+        responses = {request.prompt(): inner.generate(request.problem) for request in _requests(problems)}
+        barrier = threading.Barrier(4, timeout=10.0)
+
+        def transport(prompt):
+            barrier.wait()
+            return responses[prompt]
+
+        tasks = _tasks(ModelSpec(name="gpt-4", transport=transport), problems)
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            outcomes, request_seconds = run_generation_tasks(tasks, pool)
+        assert [outcome.error for outcome in outcomes] == [""] * 4
+        assert [outcome.response for outcome in outcomes] == [
+            inner.generate(problem) for problem in problems
+        ]
+        assert 0.0 < request_seconds <= sum(outcome.generate_seconds for outcome in outcomes)
+        stages_module._SPEC_MODELS.clear()
+        serial = [run_generation_task(task) for task in _tasks(ModelSpec.of(inner), problems)]
+        assert [outcome.card for outcome in outcomes] == [outcome.card for outcome in serial]
+
+    def test_worker_generate_fault_fires_in_task_order(self, small_dataset, monkeypatch):
+        """An unmatched ``after=3`` fault lands on the third task's problem
+        every time, however the pool orders the requests: on real threads,
+        and on a pool that runs the newest request first."""
+
+        problems = list(small_dataset)[:6]
+        inner = get_model("gpt-4")
+        tasks = _tasks(ModelSpec.of(inner), problems)
+        plan = FaultPlan([FaultSpec(site="worker.generate", kind="delay", after=3)])
+        with ThreadPoolExecutor(max_workers=6) as threads:
+            for pool in [threads] * 5 + [_NewestFirstPool()]:
+                injector = FaultInjector(plan)
+                monkeypatch.setitem(fleet_module._WORKER_CONTEXT, "injector", injector)
+                outcomes, _ = run_generation_tasks(tasks, pool)
+                assert [fired["detail"] for fired in injector.fired] == [problems[2].problem_id]
+                assert injector.fired[0]["occurrence"] == 3
+                assert [outcome.error for outcome in outcomes] == [""] * 6
+
+    def test_model_is_built_once_under_concurrent_first_calls(self, small_dataset, monkeypatch):
+        built = []
+        original = ModelSpec.build
+
+        def slow_build(spec, limiter=None):
+            time.sleep(0.05)
+            built.append(spec.name)
+            return original(spec, limiter=limiter)
+
+        monkeypatch.setattr(ModelSpec, "build", slow_build)
+        spec = ModelSpec.of(get_model("gpt-4"))
+        barrier = threading.Barrier(8, timeout=10.0)
+
+        def first_call():
+            barrier.wait()
+            return stages_module._generation_model(spec)
+
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            models = list(pool.map(lambda _: first_call(), range(8)))
+        assert built == ["gpt-4"]
+        assert all(model is models[0] for model in models)
+
+    def test_a_failed_middle_request_on_a_real_fleet_equals_serial(self, small_dataset):
+        """Four-task jobs on a real fleet: the one unrecorded prompt fails
+        only its own record, exactly as the parent path fails it."""
+
+        requests = _requests(list(small_dataset)[:8])
+        middle = 5
+        spec = _replay_spec("gpt-4", requests[:middle] + requests[middle + 1 :])
+
+        parent = EvaluationPipeline(spec.build(), store=ReferenceStore()).run(requests)
+        with FleetExecutor(num_workers=1, lease_seconds=30.0, chunk_size=4) as executor:
+            offloaded = EvaluationPipeline(
+                spec.build(), model_spec=spec, executor=executor, store=ReferenceStore()
+            ).run(requests)
+        assert offloaded.records == parent.records
+        assert [index for index, record in enumerate(offloaded.records) if record.error] == [middle]
+        assert offloaded.records[middle].error.startswith("EndpointError:")
 
 
 # ---------------------------------------------------------------------------
